@@ -152,6 +152,21 @@ let time_ms f =
   let r = f () in
   (r, (Unix.gettimeofday () -. t0) *. 1000.)
 
+module Json = Specrepair_base.Json
+
+(* measurements are reported to three decimals *)
+let num f = Json.Num (Float.round (f *. 1000.) /. 1000.)
+
+(* Every stage writes its artifact as one JSON object through the shared
+   codec, to the path in [env] or else [default]. *)
+let write_artifact ~stage ~env ~default fields =
+  let path = Option.value (Sys.getenv_opt env) ~default in
+  let oc = open_out path in
+  output_string oc (Json.to_string (Json.Obj fields));
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "%s artifact written to %s\n\n%!" stage path
+
 let () =
   let n_candidates =
     List.fold_left (fun n (_, cs) -> n + List.length cs) 0 oracle_workload
@@ -218,38 +233,24 @@ let () =
     n_candidates (List.length oracle_workload) fresh_ms incremental_ms speedup
     stats.verdict_hits stats.verdict_misses stats.formulas_translated
     stats.formulas_reused stats.contexts;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"sample\": %d,\n\
-      \  \"domains\": %d,\n\
-      \  \"candidates\": %d,\n\
-      \  \"fresh_ms\": %.3f,\n\
-      \  \"incremental_ms\": %.3f,\n\
-      \  \"speedup\": %.3f,\n\
-      \  \"verdict_hits\": %d,\n\
-      \  \"verdict_misses\": %d,\n\
-      \  \"instance_hits\": %d,\n\
-      \  \"instance_misses\": %d,\n\
-      \  \"fallback_queries\": %d,\n\
-      \  \"formulas_translated\": %d,\n\
-      \  \"formulas_reused\": %d,\n\
-      \  \"contexts\": %d\n\
-       }\n"
-      sample_size
-      (List.length oracle_workload)
-      n_candidates fresh_ms incremental_ms speedup stats.verdict_hits
-      stats.verdict_misses stats.instance_hits stats.instance_misses
-      stats.fallback_queries stats.formulas_translated stats.formulas_reused
-      stats.contexts
-  in
-  let path =
-    Option.value (Sys.getenv_opt "BENCH_ORACLE_OUT") ~default:"BENCH_oracle.json"
-  in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "oracle artifact written to %s\n\n%!" path
+  write_artifact ~stage:"oracle" ~env:"BENCH_ORACLE_OUT"
+    ~default:"BENCH_oracle.json"
+    [
+      ("sample", Json.int sample_size);
+      ("domains", Json.int (List.length oracle_workload));
+      ("candidates", Json.int n_candidates);
+      ("fresh_ms", num fresh_ms);
+      ("incremental_ms", num incremental_ms);
+      ("speedup", num speedup);
+      ("verdict_hits", Json.int stats.verdict_hits);
+      ("verdict_misses", Json.int stats.verdict_misses);
+      ("instance_hits", Json.int stats.instance_hits);
+      ("instance_misses", Json.int stats.instance_misses);
+      ("fallback_queries", Json.int stats.fallback_queries);
+      ("formulas_translated", Json.int stats.formulas_translated);
+      ("formulas_reused", Json.int stats.formulas_reused);
+      ("contexts", Json.int stats.contexts);
+    ]
 
 (* {2 Proof stage: certification overhead}
 
@@ -332,36 +333,24 @@ let () =
      (%d steps)\n\n%!"
     plain_ms cert_ms overhead certified cert_failures sat_plain_ms
     sat_logged_ms sat_checked_ms (List.length steps);
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"sample\": %d,\n\
-      \  \"domains\": %d,\n\
-      \  \"candidates\": %d,\n\
-      \  \"plain_ms\": %.3f,\n\
-      \  \"certified_ms\": %.3f,\n\
-      \  \"overhead\": %.3f,\n\
-      \  \"verdicts_match\": true,\n\
-      \  \"certified\": %d,\n\
-      \  \"certificate_failures\": %d,\n\
-      \  \"sat_plain_ms\": %.3f,\n\
-      \  \"sat_logged_ms\": %.3f,\n\
-      \  \"sat_checked_ms\": %.3f,\n\
-      \  \"proof_steps\": %d\n\
-       }\n"
-      sample_size
-      (List.length oracle_workload)
-      (List.fold_left (fun n (_, cs) -> n + List.length cs) 0 oracle_workload)
-      plain_ms cert_ms overhead certified cert_failures sat_plain_ms
-      sat_logged_ms sat_checked_ms (List.length steps)
-  in
-  let path =
-    Option.value (Sys.getenv_opt "BENCH_PROOF_OUT") ~default:"BENCH_proof.json"
-  in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "proof artifact written to %s\n\n%!" path
+  write_artifact ~stage:"proof" ~env:"BENCH_PROOF_OUT"
+    ~default:"BENCH_proof.json"
+    [
+      ("sample", Json.int sample_size);
+      ("domains", Json.int (List.length oracle_workload));
+      ( "candidates",
+        Json.int (List.fold_left (fun n (_, cs) -> n + List.length cs) 0 oracle_workload) );
+      ("plain_ms", num plain_ms);
+      ("certified_ms", num cert_ms);
+      ("overhead", num overhead);
+      ("verdicts_match", Json.Bool true);
+      ("certified", Json.int certified);
+      ("certificate_failures", Json.int cert_failures);
+      ("sat_plain_ms", num sat_plain_ms);
+      ("sat_logged_ms", num sat_logged_ms);
+      ("sat_checked_ms", num sat_checked_ms);
+      ("proof_steps", Json.int (List.length steps));
+    ]
 
 (* {2 SAT stage: inprocessing and portfolio racing on hard instances}
 
@@ -494,52 +483,35 @@ let () =
     (best simplify_speedup) (best portfolio_speedup);
   let family_json ((name, n, verdicts, plain_ms, simplify_ms, portfolio_ms,
                     certified) as row) =
-    Printf.sprintf
-      "    {\n\
-      \      \"name\": \"%s\",\n\
-      \      \"instances\": %d,\n\
-      \      \"verdicts\": \"%s\",\n\
-      \      \"plain_ms\": %.3f,\n\
-      \      \"simplify_ms\": %.3f,\n\
-      \      \"portfolio_ms\": %.3f,\n\
-      \      \"simplify_speedup\": %.3f,\n\
-      \      \"portfolio_speedup\": %.3f,\n\
-      \      \"certified_unsat\": %d\n\
-      \    }"
-      name n verdicts plain_ms simplify_ms portfolio_ms (simplify_speedup row)
-      (portfolio_speedup row) certified
+    Json.Obj
+      [
+        ("name", Json.Str name);
+        ("instances", Json.int n);
+        ("verdicts", Json.Str verdicts);
+        ("plain_ms", num plain_ms);
+        ("simplify_ms", num simplify_ms);
+        ("portfolio_ms", num portfolio_ms);
+        ("simplify_speedup", num (simplify_speedup row));
+        ("portfolio_speedup", num (portfolio_speedup row));
+        ("certified_unsat", Json.int certified);
+      ]
   in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"families\": [\n\
-       %s\n\
-      \  ],\n\
-      \  \"best_simplify_speedup\": %.3f,\n\
-      \  \"best_portfolio_speedup\": %.3f,\n\
-      \  \"verdicts_agree\": true,\n\
-      \  \"certified_unsat\": %d,\n\
-      \  \"certificate_failures\": 0\n\
-       }\n"
-      (String.concat ",\n" (List.map family_json rows))
-      (best simplify_speedup) (best portfolio_speedup) total_certified
-  in
-  let path =
-    Option.value (Sys.getenv_opt "BENCH_SAT_OUT") ~default:"BENCH_sat.json"
-  in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "sat artifact written to %s\n\n%!" path
+  write_artifact ~stage:"sat" ~env:"BENCH_SAT_OUT" ~default:"BENCH_sat.json"
+    [
+      ("families", Json.List (List.map family_json rows));
+      ("best_simplify_speedup", num (best simplify_speedup));
+      ("best_portfolio_speedup", num (best portfolio_speedup));
+      ("verdicts_agree", Json.Bool true);
+      ("certified_unsat", Json.int total_certified);
+      ("certificate_failures", Json.int 0);
+    ]
 
-(* {2 Parallel stages: static partition vs dynamic work-stealing scheduler}
+(* {2 Parallel stage: the dynamic work-stealing scheduler}
 
-   The same study rows fanned out over the same number of forked workers,
-   once through the legacy static round-robin partition (one fixed slice
-   per worker, no fault tolerance) and once through the chunked
-   work-stealing scheduler behind `Study.run_parallel`.  Both runs must
+   The study rows fanned out over forked workers through the chunked
+   work-stealing scheduler behind `Study.run_parallel`.  The rows must
    agree with the sequential rows computed above on every column except
-   the wall clock. *)
+   the wall clock; the scheduler's counters go into the artifact. *)
 
 let () =
   let jobs =
@@ -547,9 +519,6 @@ let () =
     | Some s -> (
         match int_of_string_opt s with Some n when n > 0 -> n | _ -> 4)
     | None -> 4
-  in
-  let static_rows, static_ms =
-    time_ms (fun () -> S.Eval.Study.run_parallel_static ~jobs variants)
   in
   let sched_stats = ref (S.Engine.Telemetry.Scheduler.create ()) in
   let dynamic_rows, dynamic_ms =
@@ -569,53 +538,32 @@ let () =
          rows)
   in
   let reference = canon (S.Eval.Study.of_csv (S.Eval.Study.to_csv results)) in
-  if canon static_rows <> reference then
-    failwith "parallel stage: static rows disagree with the sequential run";
   if canon dynamic_rows <> reference then
     failwith "parallel stage: dynamic rows disagree with the sequential run";
-  let ratio = static_ms /. dynamic_ms in
   Printf.printf
-    "PARALLEL (%d rows over %d workers, static partition vs dynamic scheduler)\n\n\
-    \  static partition:   %8.1f ms\n\
-    \  dynamic scheduler:  %8.1f ms (static/dynamic %.2fx)\n\
+    "PARALLEL (%d rows over %d workers, dynamic scheduler)\n\n\
+    \  dynamic scheduler:  %8.1f ms\n\
     \  chunks:             %d dispatched, %d completed\n\
     \  retries:            %d (workers lost %d, heartbeat kills %d)\n\n%!"
-    (List.length dynamic_rows) jobs static_ms dynamic_ms ratio
-    stats.chunks_dispatched stats.chunks_completed stats.retries
-    stats.workers_lost stats.heartbeat_kills;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"sample\": %d,\n\
-      \  \"jobs\": %d,\n\
-      \  \"rows\": %d,\n\
-      \  \"static_ms\": %.3f,\n\
-      \  \"dynamic_ms\": %.3f,\n\
-      \  \"static_over_dynamic\": %.3f,\n\
-      \  \"rows_match_sequential\": true,\n\
-      \  \"chunks_dispatched\": %d,\n\
-      \  \"chunks_completed\": %d,\n\
-      \  \"rows_completed\": %d,\n\
-      \  \"retries\": %d,\n\
-      \  \"workers_spawned\": %d,\n\
-      \  \"workers_lost\": %d,\n\
-      \  \"heartbeat_kills\": %d\n\
-       }\n"
-      sample_size jobs
-      (List.length dynamic_rows)
-      static_ms dynamic_ms ratio stats.chunks_dispatched stats.chunks_completed
-      stats.rows_completed stats.retries stats.workers_spawned
-      stats.workers_lost stats.heartbeat_kills
-  in
-  let path =
-    Option.value
-      (Sys.getenv_opt "BENCH_PARALLEL_OUT")
-      ~default:"BENCH_parallel.json"
-  in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "parallel artifact written to %s\n\n%!" path
+    (List.length dynamic_rows) jobs dynamic_ms stats.chunks_dispatched
+    stats.chunks_completed stats.retries stats.workers_lost
+    stats.heartbeat_kills;
+  write_artifact ~stage:"parallel" ~env:"BENCH_PARALLEL_OUT"
+    ~default:"BENCH_parallel.json"
+    [
+      ("sample", Json.int sample_size);
+      ("jobs", Json.int jobs);
+      ("rows", Json.int (List.length dynamic_rows));
+      ("dynamic_ms", num dynamic_ms);
+      ("rows_match_sequential", Json.Bool true);
+      ("chunks_dispatched", Json.int stats.chunks_dispatched);
+      ("chunks_completed", Json.int stats.chunks_completed);
+      ("rows_completed", Json.int stats.rows_completed);
+      ("retries", Json.int stats.retries);
+      ("workers_spawned", Json.int stats.workers_spawned);
+      ("workers_lost", Json.int stats.workers_lost);
+      ("heartbeat_kills", Json.int stats.heartbeat_kills);
+    ]
 
 (* {2 Stream stage: checkpointed corpus streaming, small vs large}
 
@@ -699,30 +647,21 @@ let () =
     \  large/small throughput: %.3fx (flat = no per-row cost growth)\n\
     \  parent peak heap:       %.1f MB (shards merged lazily)\n\n%!"
     jobs small small_ms small_rate large large_ms large_rate ratio peak_mb;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"jobs\": %d,\n\
-      \  \"small_rows\": %d,\n\
-      \  \"large_rows\": %d,\n\
-      \  \"small_ms\": %.3f,\n\
-      \  \"large_ms\": %.3f,\n\
-      \  \"small_rows_per_s\": %.1f,\n\
-      \  \"large_rows_per_s\": %.1f,\n\
-      \  \"large_over_small\": %.3f,\n\
-      \  \"rows_match\": true,\n\
-      \  \"manifest_complete\": true,\n\
-      \  \"parent_peak_heap_mb\": %.1f\n\
-       }\n"
-      jobs small large small_ms large_ms small_rate large_rate ratio peak_mb
-  in
-  let path =
-    Option.value (Sys.getenv_opt "BENCH_STREAM_OUT") ~default:"BENCH_stream.json"
-  in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "stream artifact written to %s\n\n%!" path
+  write_artifact ~stage:"stream" ~env:"BENCH_STREAM_OUT"
+    ~default:"BENCH_stream.json"
+    [
+      ("jobs", Json.int jobs);
+      ("small_rows", Json.int small);
+      ("large_rows", Json.int large);
+      ("small_ms", num small_ms);
+      ("large_ms", num large_ms);
+      ("small_rows_per_s", num small_rate);
+      ("large_rows_per_s", num large_rate);
+      ("large_over_small", num ratio);
+      ("rows_match", Json.Bool true);
+      ("manifest_complete", Json.Bool true);
+      ("parent_peak_heap_mb", num peak_mb);
+    ]
 
 (* {2 Serve stage: cold vs warm requests through the daemon}
 
@@ -790,36 +729,30 @@ let () =
     | Error m -> failwith ("serve stage: " ^ m)
   in
   let request id source =
-    S.Serve.Json.(
-      to_string
-        (Obj
-           [
-             ("id", Str id);
-             ("method", Str "evaluate");
-             ("params", Obj [ ("source", Str source); ("file", Str id) ]);
-           ]))
+    Json.to_string
+      (Json.Obj
+         [
+           ("id", Json.Str id);
+           ("method", Json.Str "evaluate");
+           ("params", Json.Obj [ ("source", Json.Str source); ("file", Json.Str id) ]);
+         ])
   in
+  let parse_reply r =
+    match Json.parse r with
+    | Ok j -> j
+    | Error _ -> failwith ("serve stage: reply is not JSON: " ^ r)
+  in
+  let warm_flag j = Option.bind (Json.member "result" j) (Json.mem_bool "warm") in
   (* compare replies with the warmth flag neutralised *)
-  let strip_warm s =
-    let hot = {|"warm":true|} and cold = {|"warm":false|} in
-    let buf = Buffer.create (String.length s) in
-    let i = ref 0 in
-    let n = String.length s in
-    let matches p =
-      let k = String.length p in
-      !i + k <= n && String.sub s !i k = p
-    in
-    while !i < n do
-      if matches hot || matches cold then begin
-        Buffer.add_string buf {|"warm":_|};
-        i := !i + String.length (if matches hot then hot else cold)
-      end
-      else begin
-        Buffer.add_char buf s.[!i];
-        incr i
-      end
-    done;
-    Buffer.contents buf
+  let strip_warm = function
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (function
+               | "result", Json.Obj r -> ("result", Json.Obj (List.remove_assoc "warm" r))
+               | field -> field)
+             fields)
+    | j -> j
   in
   let cold_replies, cold_ms =
     time_ms (fun () -> List.map (fun (id, src) -> ask (request id src)) sources)
@@ -832,42 +765,35 @@ let () =
   in
   let requests_cold = List.length sources in
   let requests_warm = requests_cold * repeats in
-  let contains sub s =
-    let k = String.length sub and n = String.length s in
-    let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
-    go 0
-  in
   List.iter
     (fun r ->
       if not (S.Serve.Protocol.reply_is_ok r) then
         failwith ("serve stage: request failed: " ^ r))
     (cold_replies @ warm_replies);
-  if not (List.for_all (contains {|"warm":true|}) warm_replies) then
+  let cold_replies = List.map parse_reply cold_replies in
+  let warm_replies = List.map parse_reply warm_replies in
+  if not (List.for_all (fun w -> warm_flag w = Some true) warm_replies) then
     failwith "serve stage: a warm repeat was not answered from warm state";
   let replies_match =
     List.for_all2
       (fun (id, _) cold ->
-        List.filter (contains ("\"id\":\"" ^ id ^ "\"")) warm_replies
+        List.filter (fun w -> Json.mem_str "id" w = Some id) warm_replies
         |> List.for_all (fun w -> strip_warm w = strip_warm cold))
       sources cold_replies
   in
   if not replies_match then
     failwith "serve stage: warm replies differ from cold ones";
   let status =
-    ask
-      S.Serve.Json.(
-        to_string
-          (Obj [ ("id", Str "st"); ("method", Str "status"); ("params", Obj []) ]))
+    parse_reply
+      (ask
+         (Json.to_string
+            (Json.Obj
+               [ ("id", Json.Str "st"); ("method", Json.Str "status"); ("params", Json.Obj []) ])))
   in
   let counter name =
-    match S.Serve.Json.parse status with
-    | Ok j -> (
-        match Option.bind (S.Serve.Json.member "result" j)
-                (S.Serve.Json.mem_int name)
-        with
-        | Some v -> v
-        | None -> failwith ("serve stage: status lacks " ^ name))
-    | Error _ -> failwith "serve stage: status reply is not JSON"
+    match Option.bind (Json.member "result" status) (Json.mem_int name) with
+    | Some v -> v
+    | None -> failwith ("serve stage: status lacks " ^ name)
   in
   let cache_hits = counter "cache_hits" in
   let cache_misses = counter "cache_misses" in
@@ -905,36 +831,25 @@ let () =
     \  shutdown:    clean (exit 0, socket unlinked)\n\n%!"
     requests_cold repeats cold_ms cold_rps warm_ms warm_rps warm_speedup
     cache_hits cache_misses worker_respawns queue_high_water;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"specs\": %d,\n\
-      \  \"repeats\": %d,\n\
-      \  \"requests_cold\": %d,\n\
-      \  \"requests_warm\": %d,\n\
-      \  \"cold_ms\": %.3f,\n\
-      \  \"warm_ms\": %.3f,\n\
-      \  \"cold_rps\": %.3f,\n\
-      \  \"warm_rps\": %.3f,\n\
-      \  \"warm_speedup\": %.3f,\n\
-      \  \"replies_match\": %b,\n\
-      \  \"cache_hits\": %d,\n\
-      \  \"cache_misses\": %d,\n\
-      \  \"worker_respawns\": %d,\n\
-      \  \"queue_high_water\": %d,\n\
-      \  \"clean_shutdown\": %b\n\
-       }\n"
-      requests_cold repeats requests_cold requests_warm cold_ms warm_ms
-      cold_rps warm_rps warm_speedup replies_match cache_hits cache_misses
-      worker_respawns queue_high_water clean_shutdown
-  in
-  let path =
-    Option.value (Sys.getenv_opt "BENCH_SERVE_OUT") ~default:"BENCH_serve.json"
-  in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "serve artifact written to %s\n\n%!" path
+  write_artifact ~stage:"serve" ~env:"BENCH_SERVE_OUT"
+    ~default:"BENCH_serve.json"
+    [
+      ("specs", Json.int requests_cold);
+      ("repeats", Json.int repeats);
+      ("requests_cold", Json.int requests_cold);
+      ("requests_warm", Json.int requests_warm);
+      ("cold_ms", num cold_ms);
+      ("warm_ms", num warm_ms);
+      ("cold_rps", num cold_rps);
+      ("warm_rps", num warm_rps);
+      ("warm_speedup", num warm_speedup);
+      ("replies_match", Json.Bool replies_match);
+      ("cache_hits", Json.int cache_hits);
+      ("cache_misses", Json.int cache_misses);
+      ("worker_respawns", Json.int worker_respawns);
+      ("queue_high_water", Json.int queue_high_water);
+      ("clean_shutdown", Json.Bool clean_shutdown);
+    ]
 
 (* {2 Hybrid stage: telemetry-learned portfolio vs the static pipeline}
 
@@ -1053,49 +968,34 @@ let () =
     static_repairs n_tasks learned_ms learned_repairs n_tasks speedup planned
     n_tasks union_n;
   let profile_json (name, techs, repaired) =
-    Printf.sprintf
-      "    {\n\
-      \      \"name\": \"%s\",\n\
-      \      \"techniques\": %d,\n\
-      \      \"repairs\": %d,\n\
-      \      \"rate\": %.4f\n\
-      \    }"
-      name techs (List.length repaired)
-      (float_of_int (List.length repaired) /. float_of_int n_tasks)
+    Json.Obj
+      [
+        ("name", Json.Str name);
+        ("techniques", Json.int techs);
+        ("repairs", Json.int (List.length repaired));
+        ( "rate",
+          num (float_of_int (List.length repaired) /. float_of_int n_tasks) );
+      ]
   in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"sample\": %d,\n\
-      \  \"tasks\": %d,\n\
-      \  \"defect_classes\": %d,\n\
-      \  \"mined_cells\": %d,\n\
-      \  \"mining_ms\": %.3f,\n\
-      \  \"profiles\": [\n\
-       %s\n\
-      \  ],\n\
-      \  \"union_repairs\": %d,\n\
-      \  \"union_strictly_exceeds\": true,\n\
-      \  \"planned_tasks\": %d,\n\
-      \  \"coldstart_identical\": true,\n\
-      \  \"static_ms\": %.3f,\n\
-      \  \"learned_ms\": %.3f,\n\
-      \  \"static_repairs\": %d,\n\
-      \  \"learned_repairs\": %d,\n\
-      \  \"speedup\": %.3f\n\
-       }\n"
-      hybrid_sample n_tasks (List.length classes) mined_cells mining_ms
-      (String.concat ",\n" (List.map profile_json per_profile))
-      union_n planned static_ms learned_ms static_repairs learned_repairs
-      speedup
-  in
-  let path =
-    Option.value (Sys.getenv_opt "BENCH_HYBRID_OUT") ~default:"BENCH_hybrid.json"
-  in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "hybrid artifact written to %s\n\n%!" path
+  write_artifact ~stage:"hybrid" ~env:"BENCH_HYBRID_OUT"
+    ~default:"BENCH_hybrid.json"
+    [
+      ("sample", Json.int hybrid_sample);
+      ("tasks", Json.int n_tasks);
+      ("defect_classes", Json.int (List.length classes));
+      ("mined_cells", Json.int mined_cells);
+      ("mining_ms", num mining_ms);
+      ("profiles", Json.List (List.map profile_json per_profile));
+      ("union_repairs", Json.int union_n);
+      ("union_strictly_exceeds", Json.Bool true);
+      ("planned_tasks", Json.int planned);
+      ("coldstart_identical", Json.Bool true);
+      ("static_ms", num static_ms);
+      ("learned_ms", num learned_ms);
+      ("static_repairs", Json.int static_repairs);
+      ("learned_repairs", Json.int learned_repairs);
+      ("speedup", num speedup);
+    ]
 
 (* {2 Timed benchmarks} *)
 

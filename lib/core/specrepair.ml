@@ -102,7 +102,7 @@ end
 (** The repair-as-a-service daemon: wire protocol, warm-session registry,
     fork-worker pool, event-loop daemon, and the line client. *)
 module Serve = struct
-  module Json = Specrepair_serve.Json
+  module Json = Specrepair_base.Json
   module Protocol = Specrepair_serve.Protocol
   module Registry = Specrepair_serve.Registry
   module Handler = Specrepair_serve.Handler

@@ -167,78 +167,62 @@ let oracle_stats t =
 
 (* {2 JSON serialization} *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let telemetry_json ?(extra = []) t =
-  let buf = Buffer.create 512 in
-  let first = ref true in
-  let field name value =
-    if not !first then Buffer.add_char buf ',';
-    first := false;
-    Buffer.add_string buf (Printf.sprintf "\"%s\":%s" (json_escape name) value)
-  in
-  Buffer.add_char buf '{';
-  List.iter
-    (fun (k, v) -> field k (Printf.sprintf "\"%s\"" (json_escape v)))
-    extra;
+  let open Specrepair_base.Json in
+  (* milliseconds to the microsecond *)
+  let ms x = Num (Float.round (x *. 1000.) /. 1000.) in
   let m = t.telemetry in
-  field "elapsed_ms" (Printf.sprintf "%.3f" (elapsed_ms t));
-  field "timed_out" (string_of_bool (timed_out t));
-  field "solver_queries" (string_of_int (Telemetry.solver_queries m));
-  field "sat_verdicts" (string_of_int m.Telemetry.sat_verdicts);
-  field "unsat_verdicts" (string_of_int m.Telemetry.unsat_verdicts);
-  field "unknown_verdicts" (string_of_int m.Telemetry.unknown_verdicts);
-  field "instance_queries" (string_of_int m.Telemetry.instance_queries);
-  field "enumerations" (string_of_int m.Telemetry.enumerations);
-  field "candidates_generated" (string_of_int m.Telemetry.candidates_generated);
-  field "candidates_evaluated" (string_of_int m.Telemetry.candidates_evaluated);
-  field "llm_rounds" (string_of_int m.Telemetry.llm_rounds);
-  field "pool_peak" (string_of_int m.Telemetry.pool_peak);
-  field "deadline_checks" (string_of_int m.Telemetry.deadline_checks);
-  field "certified_unsat" (string_of_int m.Telemetry.certified_unsat);
-  field "certificate_failures"
-    (string_of_int m.Telemetry.certificate_failures);
-  let os = oracle_stats t in
-  field "oracle"
-    (Printf.sprintf
-       "{\"verdict_hits\":%d,\"verdict_misses\":%d,\"instance_hits\":%d,\
-        \"instance_misses\":%d,\"fallback_queries\":%d,\
-        \"formulas_translated\":%d,\"formulas_reused\":%d,\"contexts\":%d,\
-        \"certified\":%d,\"certificate_failures\":%d}"
-       os.Solver.Oracle.verdict_hits os.verdict_misses os.instance_hits
-       os.instance_misses os.fallback_queries os.formulas_translated
-       os.formulas_reused os.contexts os.certified os.certificate_failures);
-  let ss = sat_stats t in
-  field "sat"
-    (Printf.sprintf
-       "{\"conflicts\":%d,\"decisions\":%d,\"propagations\":%d,\
-        \"restarts\":%d,\"reductions\":%d,\"subsumed\":%d,\
-        \"strengthened\":%d,\"vivified\":%d,\"eliminated\":%d}"
-       ss.Solver.Oracle.conflicts ss.decisions ss.propagations ss.restarts
-       ss.reductions ss.subsumed ss.strengthened ss.vivified ss.eliminated);
-  let phase_fields =
-    List.map
-      (fun (phase, ms) ->
-        Printf.sprintf "\"%s\":%.3f" (json_escape phase) ms)
-      (Telemetry.phases m)
-  in
-  field "phases" ("{" ^ String.concat "," phase_fields ^ "}");
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let os = oracle_stats t and ss = sat_stats t in
+  to_string
+    (Obj
+       (List.map (fun (k, v) -> (k, Str v)) extra
+       @ [
+           ("elapsed_ms", ms (elapsed_ms t));
+           ("timed_out", Bool (timed_out t));
+           ("solver_queries", int (Telemetry.solver_queries m));
+           ("sat_verdicts", int m.Telemetry.sat_verdicts);
+           ("unsat_verdicts", int m.unsat_verdicts);
+           ("unknown_verdicts", int m.unknown_verdicts);
+           ("instance_queries", int m.instance_queries);
+           ("enumerations", int m.enumerations);
+           ("candidates_generated", int m.candidates_generated);
+           ("candidates_evaluated", int m.candidates_evaluated);
+           ("llm_rounds", int m.llm_rounds);
+           ("pool_peak", int m.pool_peak);
+           ("deadline_checks", int m.deadline_checks);
+           ("certified_unsat", int m.certified_unsat);
+           ("certificate_failures", int m.certificate_failures);
+           ( "oracle",
+             Obj
+               [
+                 ("verdict_hits", int os.Solver.Oracle.verdict_hits);
+                 ("verdict_misses", int os.verdict_misses);
+                 ("instance_hits", int os.instance_hits);
+                 ("instance_misses", int os.instance_misses);
+                 ("fallback_queries", int os.fallback_queries);
+                 ("formulas_translated", int os.formulas_translated);
+                 ("formulas_reused", int os.formulas_reused);
+                 ("contexts", int os.contexts);
+                 ("certified", int os.certified);
+                 ("certificate_failures", int os.certificate_failures);
+               ] );
+           ( "sat",
+             Obj
+               [
+                 ("conflicts", int ss.Solver.Oracle.conflicts);
+                 ("decisions", int ss.decisions);
+                 ("propagations", int ss.propagations);
+                 ("restarts", int ss.restarts);
+                 ("reductions", int ss.reductions);
+                 ("subsumed", int ss.subsumed);
+                 ("strengthened", int ss.strengthened);
+                 ("vivified", int ss.vivified);
+                 ("eliminated", int ss.eliminated);
+               ] );
+           ( "phases",
+             Obj (List.map (fun (phase, x) -> (phase, ms x)) (Telemetry.phases m))
+           );
+         ]))
 
 let pp_telemetry ppf t =
   Format.fprintf ppf "@[<v>%a@,elapsed: %.3f ms, timed out: %b@,oracle: %a@]"

@@ -84,12 +84,18 @@ module Scheduler = struct
     }
 
   let to_json ~jobs t =
-    Printf.sprintf
-      "{\"jobs\":%d,\"chunks_dispatched\":%d,\"chunks_completed\":%d,\
-       \"rows_completed\":%d,\"retries\":%d,\"workers_spawned\":%d,\
-       \"workers_lost\":%d,\"heartbeat_kills\":%d}"
-      jobs t.chunks_dispatched t.chunks_completed t.rows_completed t.retries
-      t.workers_spawned t.workers_lost t.heartbeat_kills
+    let open Specrepair_base.Json in
+    Obj
+      [
+        ("jobs", int jobs);
+        ("chunks_dispatched", int t.chunks_dispatched);
+        ("chunks_completed", int t.chunks_completed);
+        ("rows_completed", int t.rows_completed);
+        ("retries", int t.retries);
+        ("workers_spawned", int t.workers_spawned);
+        ("workers_lost", int t.workers_lost);
+        ("heartbeat_kills", int t.heartbeat_kills);
+      ]
 
   let pp ppf t =
     Format.fprintf ppf

@@ -77,8 +77,7 @@ module Scheduler : sig
   }
 
   val create : unit -> t
-  val to_json : jobs:int -> t -> string
-  (** One-line JSON object (no trailing newline). *)
+  val to_json : jobs:int -> t -> Specrepair_base.Json.t
 
   val pp : Format.formatter -> t -> unit
 end

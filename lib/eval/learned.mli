@@ -52,8 +52,9 @@ val class_of_variant_id : string -> string
     (memoized); ["unknown"] for foreign ids. *)
 
 val add_telemetry_line : t -> string -> unit
-(** Folds one telemetry JSONL line in; non-study lines (scheduler
-    summaries, serve events) are ignored. *)
+(** Folds one telemetry JSONL line in, reading its top-level fields only;
+    lines that do not parse and non-study lines (scheduler summaries,
+    serve events) are ignored. *)
 
 val of_telemetry_file : string -> t
 

@@ -79,18 +79,10 @@ let error_reply ?(data = []) ~id ~code message =
              :: data) );
        ])
 
-(* Replies are always built by the two constructors above, so the success
-   flag sits in a fixed position right after the escaped id. *)
 let reply_is_ok line =
-  let marker = "\"ok\":true" in
-  let lm = String.length marker in
-  let n = String.length line in
-  let rec find i =
-    if i + lm > n then false
-    else if String.sub line i lm = marker then true
-    else find (i + 1)
-  in
-  find 0
+  match Json.parse line with
+  | Ok reply -> Json.mem_bool "ok" reply = Some true
+  | Error _ -> false
 
 let method_name = function
   | Repair _ -> "repair"
@@ -208,7 +200,7 @@ let parse_request line =
   | Error (pos, msg) ->
       Error
         (error_reply ~id:"" ~code:Parse_error
-           ~data:[ ("pos", Json.Num (float_of_int pos)) ]
+           ~data:[ ("pos", Json.int pos) ]
            (Printf.sprintf "request is not JSON: %s (byte %d)" msg pos))
   | Ok json -> (
       (* best-effort id recovery, so even malformed requests correlate *)

@@ -99,5 +99,5 @@ val cache_key : call -> string option
     session.  [None] for [status]. *)
 
 val reply_is_ok : string -> bool
-(** Does a reply line (in the exact shape built by {!ok_reply} /
-    {!error_reply}) report success? *)
+(** Does a reply line carry a top-level ["ok": true]?  [false] for lines
+    that are not JSON. *)

@@ -132,6 +132,17 @@ let test_report_deterministic () =
   in
   Alcotest.(check string) "byte-identical reports" (run ()) (run ())
 
+(* The summary is JSON, so any corpus directory name must survive a
+   parse — backslashes, quotes and newlines included. *)
+let test_summary_escapes_corpus_dir () =
+  let module Json = Specrepair_base.Json in
+  let corpus_dir = "C:\\fuzz \"nightly\"\nrun" in
+  match Json.parse (Harness.summary_json ~corpus_dir ~seed:1 []) with
+  | Error (pos, msg) -> Alcotest.failf "summary does not parse at %d: %s" pos msg
+  | Ok j ->
+      Alcotest.(check (option string)) "corpus_dir survives" (Some corpus_dir)
+        (Option.bind (Json.member "fuzz" j) (Json.mem_str "corpus_dir"))
+
 (* {2 Chaos injection: caught, shrunk, persisted, replayable} *)
 
 let test_chaos_injection () =
@@ -280,6 +291,8 @@ let () =
           Alcotest.test_case "parse" `Quick (smoke Harness.Parse_target 150);
           Alcotest.test_case "deterministic report" `Quick
             test_report_deterministic;
+          Alcotest.test_case "summary escapes corpus dir" `Quick
+            test_summary_escapes_corpus_dir;
         ] );
       ( "chaos",
         [

@@ -93,6 +93,14 @@ let test_non_study_lines_ignored () =
   Learned.add_telemetry_line t "not json at all";
   Alcotest.(check bool) "still empty" true (Learned.is_empty t)
 
+(* Only a row's own top-level fields count: a [technique]/[repaired] pair
+   nested inside some other object is not a study row. *)
+let test_nested_keys_not_mined () =
+  let t = Learned.empty () in
+  Learned.add_telemetry_line t
+    "{\"event\":\"serve_reply\",\"params\":{\"technique\":\"ATR\",\"repaired\":\"true\",\"defect_class\":\"quant\",\"elapsed_ms\":5}}";
+  Alcotest.(check bool) "nested row ignored" true (Learned.is_empty t)
+
 let test_rank_pinned () =
   let t = Lazy.force fixture_stats in
   let ranked =
@@ -233,6 +241,8 @@ let () =
           Alcotest.test_case "telemetry counts" `Quick test_mining_counts;
           Alcotest.test_case "non-study lines ignored" `Quick
             test_non_study_lines_ignored;
+          Alcotest.test_case "nested keys not mined" `Quick
+            test_nested_keys_not_mined;
           Alcotest.test_case "pinned ranking" `Quick test_rank_pinned;
         ] );
       ( "persistence",

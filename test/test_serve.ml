@@ -6,7 +6,7 @@
    clients, chaos worker crashes, and SIGTERM shutdown. *)
 
 module Serve = Specrepair_serve
-module Json = Serve.Json
+module Json = Specrepair_base.Json
 module Protocol = Serve.Protocol
 module Registry = Serve.Registry
 module Handler = Serve.Handler
@@ -80,12 +80,32 @@ let test_json_unicode () =
       Alcotest.(check string) "surrogate pair" "\xf0\x9f\x98\x80" s
   | _ -> Alcotest.fail "surrogate pair parse failed"
 
-let test_json_raw () =
-  let s =
-    Json.to_string
-      (Json.Obj [ ("d", Json.Raw {|{"x":1}|}); ("k", Json.Num 2.) ])
+(* Numbers print in the shortest form that reads back exactly; the
+   non-finite values JSON cannot represent print as [null]. *)
+let test_json_numbers () =
+  let prints f expected =
+    Alcotest.(check string) expected expected (Json.to_string (Json.Num f))
   in
-  Alcotest.(check string) "raw embedded verbatim" {|{"d":{"x":1},"k":2}|} s
+  prints 1234.5678 "1234.5678";
+  prints 1e6 "1000000";
+  prints (-2.5) "-2.5";
+  prints 0.1 "0.1";
+  prints 1e20 "1e+20";
+  prints 1e-7 "1e-07";
+  prints (1. /. 3.) "0.33333333333333331";
+  List.iter
+    (fun f ->
+      Alcotest.(check string) "non-finite is null" {|{"x":null}|}
+        (Json.to_string (Json.Obj [ ("x", Json.Num f) ])))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  Alcotest.(check (option int)) "integral but beyond int" None
+    (Json.to_int (Json.Num 1e30))
+
+let prop_json_number_roundtrip =
+  QCheck2.Test.make ~count:2000 ~name:"finite numbers round-trip"
+    ~print:(Printf.sprintf "%h") QCheck2.Gen.float (fun f ->
+      QCheck2.assume (Float.is_finite f);
+      Json.parse (Json.to_string (Json.Num f)) = Ok (Json.Num f))
 
 (* {2 Protocol} *)
 
@@ -520,7 +540,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "errors carry positions" `Quick test_json_errors;
           Alcotest.test_case "unicode escapes" `Quick test_json_unicode;
-          Alcotest.test_case "raw embedding" `Quick test_json_raw;
+          Alcotest.test_case "number printing" `Quick test_json_numbers;
+          QCheck_alcotest.to_alcotest prop_json_number_roundtrip;
         ] );
       ( "protocol",
         [

@@ -260,6 +260,33 @@ let test_manifest_roundtrip_and_pending () =
     (Manifest.is_complete m);
   Alcotest.(check (list (pair int int))) "nothing pending" [] (Manifest.pending m)
 
+(* Fingerprints carry operator-supplied text (corpus names, options), so
+   every byte must survive a save/load, including control characters and
+   UTF-8; an ASCII fingerprint keeps the exact on-disk bytes existing run
+   directories were written with. *)
+let test_manifest_fingerprint_bytes () =
+  let read_manifest dir =
+    let ic = open_in_bin (Manifest.path ~dir) in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+  in
+  List.iter
+    (fun fingerprint ->
+      with_tmpdir (fun dir ->
+          Manifest.save ~dir
+            (Manifest.add (Manifest.create ~fingerprint ~total:4) ~lo:0 ~hi:2);
+          Alcotest.(check string)
+            (Printf.sprintf "fingerprint %S survives" fingerprint)
+            fingerprint (Manifest.load ~dir).Manifest.fingerprint))
+    [ "a\rb"; "back\bspace"; "say \"hi\""; "C:\\runs\\"; "caf\xc3\xa9"; "\x01\t\n" ];
+  with_tmpdir (fun dir ->
+      Manifest.save ~dir
+        (Manifest.add (Manifest.create ~fingerprint:"src=fuzz|seed=7" ~total:10) ~lo:0 ~hi:3);
+      Alcotest.(check string) "ASCII manifest bytes"
+        "{\"specrepair_manifest\":1,\"fingerprint\":\"src=fuzz|seed=7\",\"total\":10,\"completed\":[[0,3]]}\n"
+        (read_manifest dir))
+
 let expect_corrupt what text =
   with_tmpdir (fun dir ->
       (match text with
@@ -300,7 +327,24 @@ let test_corrupt_manifests_rejected () =
        "{\"specrepair_manifest\":1,\"fingerprint\":\"fp\",\"total\":8,\"completed\":[[0,4],[3,6]]}");
   expect_corrupt "inverted range"
     (Some
-       "{\"specrepair_manifest\":1,\"fingerprint\":\"fp\",\"total\":8,\"completed\":[[4,4]]}")
+       "{\"specrepair_manifest\":1,\"fingerprint\":\"fp\",\"total\":8,\"completed\":[[4,4]]}");
+  expect_corrupt "extra key"
+    (Some
+       "{\"specrepair_manifest\":1,\"fingerprint\":\"fp\",\"total\":8,\"completed\":[],\"x\":0}");
+  expect_corrupt "missing key"
+    (Some "{\"specrepair_manifest\":1,\"fingerprint\":\"fp\",\"total\":8}");
+  expect_corrupt "fractional total"
+    (Some
+       "{\"specrepair_manifest\":1,\"fingerprint\":\"fp\",\"total\":8.5,\"completed\":[]}");
+  expect_corrupt "non-string fingerprint"
+    (Some
+       "{\"specrepair_manifest\":1,\"fingerprint\":7,\"total\":8,\"completed\":[]}");
+  expect_corrupt "three-element range"
+    (Some
+       "{\"specrepair_manifest\":1,\"fingerprint\":\"fp\",\"total\":8,\"completed\":[[0,2,4]]}");
+  expect_corrupt "string range bound"
+    (Some
+       "{\"specrepair_manifest\":1,\"fingerprint\":\"fp\",\"total\":8,\"completed\":[[\"0\",2]]}")
 
 let test_tampered_shard_detected () =
   with_tmpdir (fun dir ->
@@ -333,44 +377,6 @@ let test_tampered_shard_detected () =
       Sys.remove shard;
       expect_corrupt "missing shard")
 
-(* {2 The static runner names its casualties} *)
-
-let test_static_failure_names_worker () =
-  (* a domain whose source cannot parse: the worker evaluating it dies,
-     and the parent must say which worker, pid and slice — not a bare
-     "worker failed" *)
-  let base = List.hd (B.Generate.sample ~seed ~per_domain:1 ()) in
-  let broken =
-    {
-      base.B.Generate.domain with
-      name = "broken_stream_test";
-      source = "sig ( this is not alloy";
-    }
-  in
-  let poisoned = { base with B.Generate.domain = broken } in
-  match
-    Eval.Study.run_parallel_static ~seed ~jobs:2
-      ~techniques:[ Eval.Technique.ATR ]
-      [ poisoned; base ]
-  with
-  | _ -> Alcotest.fail "expected the poisoned slice to fail"
-  | exception Failure msg ->
-      let has needle =
-        let nl = String.length needle and ml = String.length msg in
-        let rec scan i =
-          i + nl <= ml && (String.sub msg i nl = needle || scan (i + 1))
-        in
-        scan 0
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "names the runner: %s" msg)
-        true
-        (has "run_parallel_static");
-      Alcotest.(check bool)
-        (Printf.sprintf "names worker and slice: %s" msg)
-        true
-        (has "worker 1/2" && has "slice 0 mod 2" && has "pid ")
-
 let () =
   Alcotest.run "stream"
     [
@@ -395,14 +401,11 @@ let () =
         [
           Alcotest.test_case "round trip + pending" `Quick
             test_manifest_roundtrip_and_pending;
+          Alcotest.test_case "fingerprint bytes round-trip" `Quick
+            test_manifest_fingerprint_bytes;
           Alcotest.test_case "corruption rejected loudly" `Quick
             test_corrupt_manifests_rejected;
           Alcotest.test_case "tampered shard detected" `Slow
             test_tampered_shard_detected;
-        ] );
-      ( "static",
-        [
-          Alcotest.test_case "failure names the worker" `Slow
-            test_static_failure_names_worker;
         ] );
     ]
