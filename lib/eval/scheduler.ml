@@ -34,11 +34,14 @@
      is bounded only by disk, and [~resume] restarts a killed run from
      the manifest's pending complement.
 
-   Fault tolerance: the parent polls `waitpid WNOHANG` on every live
-   worker and tracks a per-chunk heartbeat.  A dead or silent worker has
-   its in-flight chunk requeued (bounded by [max_retries]) and a
+   Fault tolerance: workers are {!Specrepair_base.Proc} processes; the
+   parent polls every live worker for death and watches its silence on
+   the monotonic clock while it holds a chunk.  A dead or silent worker
+   has its in-flight chunk requeued (bounded by [max_retries]) and a
    replacement is forked; `kill -9` mid-run therefore costs one chunk of
    recompute, not the study. *)
+
+module Proc = Specrepair_base.Proc
 
 module Telemetry = Specrepair_engine.Telemetry
 
@@ -51,17 +54,10 @@ type chunk = { id : int; lo : int; hi : int; mutable attempts : int }
 let chunk_indices c = List.init (c.hi - c.lo) (fun k -> c.lo + k)
 
 type worker = {
-  pid : int;
-  cmd_w : Unix.file_descr;  (* parent's end: commands out *)
-  msg_r : Unix.file_descr;  (* parent's end: messages in *)
-  rbuf : Buffer.t;  (* partial message line *)
+  proc : Proc.t;
   mutable inflight : chunk option;
-  mutable last_beat : float;
   mutable quitting : bool;  (* QUIT sent; a clean exit is expected *)
-  mutable eof : bool;  (* message pipe closed; await waitpid *)
 }
-
-let now () = Unix.gettimeofday ()
 
 let res_path dir id = Filename.concat dir (Printf.sprintf "chunk_%d.res" id)
 
@@ -69,14 +65,6 @@ let shard_path dir ~lo ~hi =
   Filename.concat dir (Printf.sprintf "shard_%d_%d.res" lo hi)
 
 (* {2 Worker side} *)
-
-let write_line fd line =
-  let b = Bytes.of_string (line ^ "\n") in
-  let len = Bytes.length b in
-  let rec go off = if off < len then go (off + Unix.write fd b off (len - off)) in
-  go 0
-
-let one_line s = String.map (fun c -> if c = '\n' then ' ' else c) s
 
 (* Test-only fault injection: with SPECREPAIR_SCHED_KILL_ITEM=<i> and
    SPECREPAIR_SCHED_KILL_MARK=<path>, the first worker to reach item <i>
@@ -103,9 +91,7 @@ let chaos_crash_after () =
     (Sys.getenv_opt "SPECREPAIR_SCHED_CRASH_AFTER_CHUNKS")
     int_of_string_opt
 
-let child_main ~dir ~f ~cmd_r ~msg_w =
-  let ic = Unix.in_channel_of_descr cmd_r in
-  let send line = write_line msg_w line in
+let child_main ~dir ~f ~recv ~send =
   let chaos = chaos_kill () in
   let run_chunk id indices =
     let tmp = Filename.concat dir (Printf.sprintf "chunk_%d.tmp" id) in
@@ -118,7 +104,7 @@ let child_main ~dir ~f ~cmd_r ~msg_w =
             (try close_out (open_out mark) with Sys_error _ -> ());
             Unix.kill (Unix.getpid ()) Sys.sigkill
         | _ -> ());
-        let emit line = output_string oc ("T " ^ one_line line ^ "\n") in
+        let emit line = output_string oc ("T " ^ Proc.one_line line ^ "\n") in
         let r = f ~emit i in
         if String.contains r '\n' then
           failwith (Printf.sprintf "Scheduler: result for item %d spans lines" i);
@@ -131,10 +117,9 @@ let child_main ~dir ~f ~cmd_r ~msg_w =
     send (Printf.sprintf "DONE %d %d" id !finished)
   in
   let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | "QUIT" -> ()
-    | line -> (
+    match recv () with
+    | None | Some "QUIT" -> ()
+    | Some line -> (
         match String.split_on_char ' ' line with
         | "CHUNK" :: id :: indices -> (
             let id = int_of_string id in
@@ -144,8 +129,7 @@ let child_main ~dir ~f ~cmd_r ~msg_w =
             | exception e ->
                 (* a deterministic failure: retrying would repeat it, so
                    report and die rather than burn the retry budget *)
-                send
-                  (Printf.sprintf "ERR %d %s" id (one_line (Printexc.to_string e)));
+                send (Printf.sprintf "ERR %d %s" id (Printexc.to_string e));
                 Unix._exit 3)
         | _ -> ())
   in
@@ -191,24 +175,19 @@ let rows_cover ~lo ~hi rows =
 
 (* {2 Parent side} *)
 
-let status_to_string = function
-  | Unix.WEXITED n -> Printf.sprintf "exited %d" n
-  | Unix.WSIGNALED n -> Printf.sprintf "killed by signal %d" n
-  | Unix.WSTOPPED n -> Printf.sprintf "stopped by signal %d" n
-
 (* The shared scheduling loop.  [pending] is the sorted list of row
    ranges still to compute out of [0, total); [on_verified] consumes each
    cross-checked chunk result file (its path still present) and either
    keeps it (checkpoint mode renames it to a shard) or folds it into
-   memory; [keep_dir] controls scratch cleanup. *)
+   memory. *)
 let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
-    ~keep_dir ~pending ~total ~on_verified ~f () =
+    ~pending ~total ~on_verified ~f () =
   let stats = Telemetry.Scheduler.create () in
   let todo = List.fold_left (fun n (lo, hi) -> n + (hi - lo)) 0 pending in
   if todo = 0 then stats
   else begin
     let jobs = max 1 (min jobs todo) in
-    let started = now () in
+    let started = Specrepair_engine.Session.now_ns () in
     (* the work queue: a list of pending ranges plus requeued chunks *)
     let ranges = ref pending in
     let remaining = ref todo in
@@ -249,79 +228,39 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
     let workers : (int, worker) Hashtbl.t = Hashtbl.create jobs in
     let live_workers () = Hashtbl.fold (fun _ w acc -> w :: acc) workers [] in
     let spawn () =
-      let cmd_r, cmd_w = Unix.pipe ~cloexec:false () in
-      let msg_r, msg_w = Unix.pipe ~cloexec:false () in
-      match Unix.fork () with
-      | 0 ->
-          Unix.close cmd_w;
-          Unix.close msg_r;
-          (* drop the parent's ends of every sibling's pipes, so a sibling
-             sees EOF as soon as the parent closes its command pipe *)
-          Hashtbl.iter
-            (fun _ w ->
-              (try Unix.close w.cmd_w with Unix.Unix_error _ -> ());
-              (try Unix.close w.msg_r with Unix.Unix_error _ -> ()))
-            workers;
-          (match child_main ~dir ~f ~cmd_r ~msg_w with
-          | () -> Unix._exit 0
-          | exception _ -> Unix._exit 2)
-      | pid ->
-          Unix.close cmd_r;
-          Unix.close msg_w;
-          stats.workers_spawned <- stats.workers_spawned + 1;
-          let w =
-            {
-              pid;
-              cmd_w;
-              msg_r;
-              rbuf = Buffer.create 256;
-              inflight = None;
-              last_beat = now ();
-              quitting = false;
-              eof = false;
-            }
-          in
-          Hashtbl.replace workers pid w;
-          w
-    in
-    let send_to w line =
-      match write_line w.cmd_w line with
-      | () -> true
-      | exception Unix.Unix_error ((EPIPE | EBADF), _, _) -> false
+      let proc = Proc.spawn (child_main ~dir ~f) in
+      stats.workers_spawned <- stats.workers_spawned + 1;
+      let w = { proc; inflight = None; quitting = false } in
+      Hashtbl.replace workers (Proc.pid proc) w;
+      w
     in
     let assign w =
       match next_chunk () with
       | Some c ->
           w.inflight <- Some c;
-          w.last_beat <- now ();
           stats.chunks_dispatched <- stats.chunks_dispatched + 1;
-          (* a failed write means the worker is already dead; the waitpid
+          (* a failed write means the worker is already dead; the death
              poll will requeue the chunk *)
           ignore
-            (send_to w
+            (Proc.send w.proc
                (Printf.sprintf "CHUNK %d %s" c.id
                   (String.concat " " (List.map string_of_int (chunk_indices c)))))
       | None ->
           w.quitting <- true;
-          ignore (send_to w "QUIT")
+          ignore (Proc.send w.proc "QUIT")
     in
     (* Remove [w] from the pool; requeue its in-flight chunk.  The message
        pipe is closed before requeueing, so a DONE the dead worker managed
        to send can never merge a chunk that is also being recomputed. *)
     let retire w ~lost ~reason =
-      Hashtbl.remove workers w.pid;
-      (try Unix.close w.cmd_w with Unix.Unix_error _ -> ());
-      (try Unix.close w.msg_r with Unix.Unix_error _ -> ());
+      Hashtbl.remove workers (Proc.pid w.proc);
+      ignore (Proc.reap w.proc);
       if lost then stats.workers_lost <- stats.workers_lost + 1;
       match w.inflight with
       | Some c ->
           w.inflight <- None;
           requeue_chunk ~reason c
       | None -> ()
-    in
-    let reap_blocking pid =
-      try ignore (Unix.waitpid [] pid)
-      with Unix.Unix_error (ECHILD, _, _) -> ()
     in
     let merged = ref 0 in
     let merge_chunk w (c : chunk) ~reported =
@@ -335,14 +274,18 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
           merged := !merged + List.length rows;
           stats.chunks_completed <- stats.chunks_completed + 1;
           stats.rows_completed <- stats.rows_completed + List.length rows;
-          let elapsed = now () -. started in
+          let elapsed =
+            Int64.to_float
+              (Int64.sub (Specrepair_engine.Session.now_ns ()) started)
+            /. 1e9
+          in
           let rate = float_of_int !merged /. max 1e-9 elapsed in
           let eta = float_of_int (todo - !merged) /. max 1e-9 rate in
           progress
             (Printf.sprintf
                "%d/%d rows done (chunk %d, %d rows, worker %d; %.1f rows/s, \
                 ETA %.0fs)"
-               !merged todo c.id (List.length rows) w.pid rate eta)
+               !merged todo c.id (List.length rows) (Proc.pid w.proc) rate eta)
       | _ ->
           (* expected vs received cross-check failed: the file is missing,
              torn, or short a row — recompute the chunk *)
@@ -353,11 +296,11 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
                  c.id (c.hi - c.lo))
             c
     in
+    (* heartbeats need no handling here: any line resets the worker's
+       silence clock inside [Proc.read] *)
     let handle_line w line =
       match String.split_on_char ' ' line with
-      | [ "HB"; _; _ ] -> w.last_beat <- now ()
       | [ "DONE"; id; nrows ] -> (
-          w.last_beat <- now ();
           match w.inflight with
           | Some c
             when int_of_string_opt id = Some c.id
@@ -378,58 +321,12 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
                { indices; attempts; reason = "worker error: " ^ String.concat " " rest })
       | _ -> ()
     in
-    let rec drain_lines w =
-      let s = Buffer.contents w.rbuf in
-      match String.index_opt s '\n' with
-      | None -> ()
-      | Some i ->
-          Buffer.clear w.rbuf;
-          Buffer.add_substring w.rbuf s (i + 1) (String.length s - i - 1);
-          handle_line w (String.sub s 0 i);
-          drain_lines w
-    in
-    let scratch = Bytes.create 65536 in
-    let read_messages w =
-      match Unix.read w.msg_r scratch 0 (Bytes.length scratch) with
-      | 0 -> w.eof <- true
-      | k ->
-          Buffer.add_subbytes w.rbuf scratch 0 k;
-          drain_lines w
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    in
     let cleanup () =
-      List.iter
-        (fun w ->
-          (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-          reap_blocking w.pid;
-          (try Unix.close w.cmd_w with Unix.Unix_error _ -> ());
-          (try Unix.close w.msg_r with Unix.Unix_error _ -> ()))
-        (live_workers ());
-      Hashtbl.reset workers;
-      if not keep_dir then (
-        try
-          Array.iter
-            (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-            (Sys.readdir dir);
-          Unix.rmdir dir
-        with Sys_error _ | Unix.Unix_error _ -> ())
+      List.iter (fun w -> Proc.kill w.proc) (live_workers ());
+      Hashtbl.reset workers
     in
-    (* the parent writes into worker pipes that may vanish under it: turn
-       SIGPIPE into EPIPE for the duration of the run *)
-    let old_sigpipe =
-      try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-      with Invalid_argument _ | Sys_error _ -> None
-    in
-    let restore_sigpipe () =
-      match old_sigpipe with
-      | Some h -> ( try Sys.set_signal Sys.sigpipe h with Invalid_argument _ -> ())
-      | None -> ()
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        restore_sigpipe ();
-        cleanup ())
-      (fun () ->
+    Proc.ignoring_sigpipe @@ fun () ->
+    Fun.protect ~finally:cleanup (fun () ->
         while !merged < todo do
           (* keep the pool at strength while there is queued work; [assign]
              immediately hands each fresh worker a chunk *)
@@ -442,43 +339,38 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
             assign (spawn ())
           done;
           (* 1. messages: heartbeats, completions, errors *)
-          let readable = List.filter (fun w -> not w.eof) (live_workers ()) in
-          let fds = List.map (fun w -> w.msg_r) readable in
-          let ready, _, _ =
-            if fds = [] then ([], [], [])
-            else
-              try Unix.select fds [] [] 0.05
-              with Unix.Unix_error (EINTR, _, _) -> ([], [], [])
-          in
+          let live = live_workers () in
+          let ready = Proc.select (List.map (fun w -> w.proc) live) 0.05 in
           List.iter
-            (fun w -> if List.mem w.msg_r ready then read_messages w)
-            readable;
+            (fun w ->
+              if List.memq w.proc ready then
+                match Proc.read w.proc with
+                | `Lines lines -> List.iter (handle_line w) lines
+                | `Eof -> () (* the death poll reaps it *))
+            live;
           (* 2. death poll: reap exited workers, requeue their chunks *)
           List.iter
             (fun w ->
-              match Unix.waitpid [ Unix.WNOHANG ] w.pid with
-              | 0, _ -> ()
-              | _, status ->
+              match Proc.exited w.proc with
+              | None -> ()
+              | Some status ->
                   retire w
                     ~lost:(not (w.quitting && w.inflight = None))
-                    ~reason:(Printf.sprintf "worker %d %s" w.pid (status_to_string status))
-              | exception Unix.Unix_error (ECHILD, _, _) ->
-                  retire w ~lost:false ~reason:"already reaped")
+                    ~reason:
+                      (Printf.sprintf "worker %d %s" (Proc.pid w.proc)
+                         (Proc.status_to_string status)))
             (live_workers ());
           (* 3. heartbeat: a worker that holds a chunk but has gone silent
              is presumed hung; kill it and recompute the chunk *)
           List.iter
             (fun w ->
-              if
-                w.inflight <> None
-                && now () -. w.last_beat > heartbeat_timeout_ms /. 1000.
+              if w.inflight <> None && Proc.silent_ms w.proc > heartbeat_timeout_ms
               then begin
                 stats.heartbeat_kills <- stats.heartbeat_kills + 1;
-                (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-                reap_blocking w.pid;
+                Proc.kill w.proc;
                 retire w ~lost:true
                   ~reason:
-                    (Printf.sprintf "worker %d silent for %.0f ms" w.pid
+                    (Printf.sprintf "worker %d silent for %.0f ms" (Proc.pid w.proc)
                        heartbeat_timeout_ms)
               end)
             (live_workers ())
@@ -486,30 +378,28 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
         (* all rows merged: release the pool *)
         List.iter
           (fun w ->
-            if not w.quitting then ignore (send_to w "QUIT");
-            reap_blocking w.pid;
-            (try Unix.close w.cmd_w with Unix.Unix_error _ -> ());
-            (try Unix.close w.msg_r with Unix.Unix_error _ -> ()))
+            if not w.quitting then ignore (Proc.send w.proc "QUIT");
+            ignore (Proc.reap w.proc))
           (live_workers ());
-        Hashtbl.reset workers;
         stats)
   end
 
-let map ~jobs ?(max_retries = 2) ?(heartbeat_timeout_ms = 300_000.)
+let default_heartbeat_timeout_ms = 300_000.
+
+let map ~jobs ?(max_retries = 2)
+    ?(heartbeat_timeout_ms = default_heartbeat_timeout_ms)
     ?(progress = fun _ -> ()) ?(emit = fun _ -> ()) ~f n =
   if n = 0 then ([||], Telemetry.Scheduler.create ())
   else begin
-    let dir = Filename.temp_dir "specrepair_sched_" "" in
     let results : string option array = Array.make n None in
     let on_verified _c ~path ~rows ~tlines:_ =
       List.iter (fun (i, r) -> results.(i) <- Some r) rows;
       try Sys.remove path with Sys_error _ -> ()
     in
     let stats =
-      run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
-        ~keep_dir:false
-        ~pending:[ (0, n) ]
-        ~total:n ~on_verified ~f ()
+      Proc.with_scratch_dir "specrepair_sched_" (fun dir ->
+          run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit
+            ~dir ~pending:[ (0, n) ] ~total:n ~on_verified ~f ())
     in
     ( Array.mapi
         (fun i r ->
@@ -556,8 +446,7 @@ let sweep_stray_chunks dir =
         try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
     (Sys.readdir dir)
 
-let map_checkpointed ~jobs ?(max_retries = 2) ?(heartbeat_timeout_ms = 300_000.)
-    ?(progress = fun _ -> ()) ?(emit = fun _ -> ()) ?(resume = false) ~dir
+let map_checkpointed ~jobs ?(max_retries = 2) ?(progress = fun _ -> ()) ?(emit = fun _ -> ()) ?(resume = false) ~dir
     ~fingerprint ~f n =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   let manifest =
@@ -611,11 +500,9 @@ let map_checkpointed ~jobs ?(max_retries = 2) ?(heartbeat_timeout_ms = 300_000.)
     | _ -> ()
   in
   let pending = Manifest.pending !manifest in
-  let stats =
-    run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
-      ~keep_dir:true ~pending ~total:n ~on_verified ~f ()
-  in
-  stats
+  run_core ~jobs ~max_retries
+    ~heartbeat_timeout_ms:default_heartbeat_timeout_ms ~progress ~emit ~dir
+    ~pending ~total:n ~on_verified ~f ()
 
 let fold_shards ~dir f acc =
   let m = Manifest.load ~dir in

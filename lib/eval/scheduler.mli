@@ -38,14 +38,13 @@ val map :
     [?max_retries] (default 2) bounds requeues per chunk; exhausting it
     raises {!Chunk_failed} naming the offending work items.
     [?heartbeat_timeout_ms] (default 300_000) is how long a worker may go
-    without finishing an item before the parent presumes it hung and
-    kills it.  [jobs] is clamped to [n]; [jobs <= 1] still forks (use the
+    without finishing an item, on the monotonic clock, before the parent
+    presumes it hung and kills it.  [jobs] is clamped to [n]; [jobs <= 1] still forks (use the
     caller's sequential path to avoid forking entirely). *)
 
 val map_checkpointed :
   jobs:int ->
   ?max_retries:int ->
-  ?heartbeat_timeout_ms:float ->
   ?progress:(string -> unit) ->
   ?emit:(string -> unit) ->
   ?resume:bool ->
@@ -55,12 +54,12 @@ val map_checkpointed :
   int ->
   stats
 (** The streaming twin of {!map}: same worker pool, chunk protocol and
-    fault tolerance, but results never enter parent memory.  Each
-    verified chunk is kept as a result shard [shard_<lo>_<hi>.res] in
-    [dir] and its range recorded in the atomically-replaced checkpoint
-    manifest [dir/manifest.json] ({!Manifest}) — shard rename first,
-    manifest second, so the manifest only ever vouches for shards that
-    exist.  Parent memory is O(jobs + pending ranges) whatever [n].
+    fault tolerance (at the default heartbeat timeout), but results never
+    enter parent memory.  Each verified chunk is kept as a result shard
+    [shard_<lo>_<hi>.res] in [dir] and its range recorded in the
+    atomically-replaced checkpoint manifest [dir/manifest.json]
+    ({!Manifest}) — shard rename first, manifest second, so the manifest
+    only ever vouches for shards that exist.  Parent memory is O(jobs + pending ranges) whatever [n].
 
     With [~resume:true] the manifest is loaded, validated against
     [fingerprint] and [n], every recorded shard re-checked, and only the

@@ -263,7 +263,7 @@ let scheduler_line ~jobs stats =
 
 let run_parallel ?(seed = 42) ?(budget = Repair.Common.default_budget)
     ?deadline_ms ?telemetry ?simplify ?portfolio ?(techniques = Technique.all)
-    ?(jobs = 1) ?(max_retries = 2) ?heartbeat_timeout_ms ?on_stats
+    ?(jobs = 1) ?(max_retries = 2) ?on_stats
     ?(progress = fun _ -> ()) variants =
   if jobs <= 1 then
     run ~seed ~budget ?deadline_ms ?telemetry ?simplify ?portfolio ~techniques
@@ -286,7 +286,7 @@ let run_parallel ?(seed = 42) ?(budget = Repair.Common.default_budget)
            v)
     in
     let lines, stats =
-      Scheduler.map ~jobs ~max_retries ?heartbeat_timeout_ms ~progress
+      Scheduler.map ~jobs ~max_retries ~progress
         ?emit:telemetry ~f (Array.length work)
     in
     Option.iter (fun sink -> sink (scheduler_line ~jobs stats)) telemetry;
@@ -324,7 +324,7 @@ let stream_fingerprint ?(seed = 42) ?(simplify = false) ?(portfolio = 1)
 
 let run_stream ?(seed = 42) ?(budget = Repair.Common.default_budget)
     ?deadline_ms ?telemetry ?simplify ?portfolio ?(techniques = Technique.all)
-    ?(jobs = 1) ?(max_retries = 2) ?heartbeat_timeout_ms ?on_stats
+    ?(jobs = 1) ?(max_retries = 2) ?on_stats
     ?(progress = fun _ -> ()) ?(source = Corpus_stream.Injected)
     ?(resume = false) ~dir ~total () =
   if techniques = [] then invalid_arg "Study.run_stream: no techniques";
@@ -356,8 +356,7 @@ let run_stream ?(seed = 42) ?(budget = Repair.Common.default_budget)
          tech.(ti) v)
   in
   let stats =
-    Scheduler.map_checkpointed ~jobs ~max_retries ?heartbeat_timeout_ms
-      ~progress ?emit:telemetry ~resume ~dir ~fingerprint ~f nrows
+    Scheduler.map_checkpointed ~jobs ~max_retries ~progress ?emit:telemetry ~resume ~dir ~fingerprint ~f nrows
   in
   Option.iter (fun sink -> sink (scheduler_line ~jobs stats)) telemetry;
   Option.iter (fun g -> g stats) on_stats;

@@ -61,7 +61,6 @@ val run_parallel :
   ?techniques:Technique.t list ->
   ?jobs:int ->
   ?max_retries:int ->
-  ?heartbeat_timeout_ms:float ->
   ?on_stats:(Scheduler.stats -> unit) ->
   ?progress:(string -> unit) ->
   Benchmarks.Generate.variant list ->
@@ -88,7 +87,6 @@ val run_stream :
   ?techniques:Technique.t list ->
   ?jobs:int ->
   ?max_retries:int ->
-  ?heartbeat_timeout_ms:float ->
   ?on_stats:(Scheduler.stats -> unit) ->
   ?progress:(string -> unit) ->
   ?source:Corpus_stream.source ->

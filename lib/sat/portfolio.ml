@@ -26,9 +26,15 @@
    the worker's proof file.  A worker whose answer fails validation is
    discarded (the race continues on the survivors) rather than trusted.
    Losers are SIGKILLed and every child is reaped before [solve] returns;
-   a silent worker is presumed hung after [heartbeat_timeout] and killed.
-   If every worker dies without an accepted verdict the parent falls back
-   to solving in-process ([winner = -1]). *)
+   a worker silent for [heartbeat_timeout_ms] on the monotonic clock is
+   presumed hung and killed.  If every worker dies without an accepted
+   verdict the parent falls back to solving in-process ([winner = -1]).
+   The workers are {!Specrepair_base.Proc} processes. *)
+
+module Proc = Specrepair_base.Proc
+
+(* heartbeats flow at every solver restart, far more often than this *)
+let heartbeat_timeout_ms = 10_000.
 
 type outcome = {
   result : Solver.result;
@@ -58,14 +64,6 @@ let worker_plan ~simplify idx =
       simp = (if idx land 1 = 1 then not simplify else simplify);
     }
 
-let write_line fd line =
-  let b = Bytes.of_string (line ^ "\n") in
-  let len = Bytes.length b in
-  let rec go off = if off < len then go (off + Unix.write fd b off (len - off)) in
-  go 0
-
-let one_line s = String.map (fun c -> if c = '\n' then ' ' else c) s
-
 (* Test-only fault injection: with SPECREPAIR_PORTFOLIO_CHAOS_KILL=<i>,
    worker <i> SIGKILLs itself before doing any work — a deterministic
    stand-in for losing a racer mid-run.  Unset in normal operation. *)
@@ -88,8 +86,7 @@ let model_satisfies (cnf : Dimacs.cnf) model =
 
 (* {2 Worker side} *)
 
-let child_main ~idx ~plan ~dir ~msg_w ?max_conflicts (cnf : Dimacs.cnf) =
-  let send line = write_line msg_w line in
+let child_main ~idx ~plan ~dir ~send ?max_conflicts (cnf : Dimacs.cnf) =
   chaos_kill idx;
   send "HB";
   let proof_path = Filename.concat dir (Printf.sprintf "proof_%d" idx) in
@@ -129,20 +126,7 @@ let child_main ~idx ~plan ~dir ~msg_w ?max_conflicts (cnf : Dimacs.cnf) =
 
 (* {2 Parent side} *)
 
-type worker = {
-  idx : int;
-  pid : int;
-  msg_r : Unix.file_descr;
-  rbuf : Buffer.t;
-  mutable last_beat : float;
-  mutable eof : bool;
-}
-
-let now () = Unix.gettimeofday ()
-
-let reap_blocking pid =
-  try ignore (Unix.waitpid [] pid)
-  with Unix.Unix_error (ECHILD, _, _) -> ()
+type worker = { idx : int; proc : Proc.t }
 
 let read_result dir idx =
   let path = Filename.concat dir (Printf.sprintf "res_%d.res" idx) in
@@ -197,37 +181,30 @@ let solve_inprocess ?proof ?max_conflicts ~simplify (cnf : Dimacs.cnf) =
     (r, if r = Solver.Sat then Some (Solver.model s) else None)
   end
 
-let solve ?(jobs = 4) ?(simplify = false) ?(certify = false)
-    ?(heartbeat_timeout = 10.) ?proof ?max_conflicts (cnf : Dimacs.cnf) =
+let solve ?(jobs = 4) ?(simplify = false) ?(certify = false) ?proof
+    ?max_conflicts (cnf : Dimacs.cnf) =
   let jobs = max 1 jobs in
-  let dir = Filename.temp_dir "specrepair_portfolio_" "" in
+  Proc.with_scratch_dir "specrepair_portfolio_" @@ fun dir ->
   let workers : (int, worker) Hashtbl.t = Hashtbl.create jobs in
   let live () = Hashtbl.fold (fun _ w acc -> w :: acc) workers [] in
   let rejected = ref 0 in
   let accepted = ref None in
   let spawn idx =
     let plan = worker_plan ~simplify idx in
-    let msg_r, msg_w = Unix.pipe ~cloexec:false () in
-    match Unix.fork () with
-    | 0 ->
-        Unix.close msg_r;
-        Hashtbl.iter
-          (fun _ w -> try Unix.close w.msg_r with Unix.Unix_error _ -> ())
-          workers;
-        (match child_main ~idx ~plan ~dir ~msg_w ?max_conflicts cnf with
-        | () -> Unix._exit 0
-        | exception e ->
-            (try write_line msg_w ("ERR " ^ one_line (Printexc.to_string e))
-             with Unix.Unix_error _ -> ());
-            Unix._exit 2)
-    | pid ->
-        Unix.close msg_w;
-        Hashtbl.replace workers pid
-          { idx; pid; msg_r; rbuf = Buffer.create 64; last_beat = now (); eof = false }
+    let proc =
+      Proc.spawn (fun ~recv:_ ~send ->
+          try child_main ~idx ~plan ~dir ~send ?max_conflicts cnf
+          with e ->
+            (try send ("ERR " ^ Printexc.to_string e) with Unix.Unix_error _ -> ());
+            raise e)
+    in
+    Hashtbl.replace workers (Proc.pid proc) { idx; proc }
   in
-  let retire w =
-    Hashtbl.remove workers w.pid;
-    try Unix.close w.msg_r with Unix.Unix_error _ -> ()
+  (* Drop [w] from the race: SIGKILL it, or (it is exiting by itself)
+     just reap it. *)
+  let retire ~kill w =
+    Hashtbl.remove workers (Proc.pid w.proc);
+    if kill then Proc.kill w.proc else ignore (Proc.reap w.proc)
   in
   (* A DONE arrived: read, validate, and either accept the verdict or
      discard the worker and keep racing. *)
@@ -255,123 +232,69 @@ let solve ?(jobs = 4) ?(simplify = false) ?(certify = false)
         accepted := Some (result, model, w.idx);
         (* the winner has published and is exiting; reap it here — cleanup
            only sees workers still in the pool *)
-        reap_blocking w.pid;
-        retire w
+        retire ~kill:false w
     | None ->
         incr rejected;
-        (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-        reap_blocking w.pid;
-        retire w
+        retire ~kill:true w
   in
+  (* heartbeats need no handling here: any line resets the worker's
+     silence clock inside [Proc.read] *)
   let handle_line w line =
     match String.split_on_char ' ' line with
-    | "HB" :: _ -> w.last_beat <- now ()
-    | "DONE" :: _ ->
-        w.last_beat <- now ();
-        consider w
+    | "DONE" :: _ -> consider w
     | "ERR" :: _ ->
         incr rejected;
-        reap_blocking w.pid;
-        retire w
+        retire ~kill:false w
     | _ -> ()
   in
-  let rec drain_lines w =
-    if !accepted = None then begin
-      let s = Buffer.contents w.rbuf in
-      match String.index_opt s '\n' with
-      | None -> ()
-      | Some i ->
-          Buffer.clear w.rbuf;
-          Buffer.add_substring w.rbuf s (i + 1) (String.length s - i - 1);
-          handle_line w (String.sub s 0 i);
-          if Hashtbl.mem workers w.pid then drain_lines w
-    end
-  in
-  let scratch = Bytes.create 65536 in
-  let read_messages w =
-    match Unix.read w.msg_r scratch 0 (Bytes.length scratch) with
-    | 0 -> w.eof <- true
-    | k ->
-        Buffer.add_subbytes w.rbuf scratch 0 k;
-        drain_lines w
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+  let rec handle_lines w = function
+    | line :: rest when !accepted = None && Hashtbl.mem workers (Proc.pid w.proc) ->
+        handle_line w line;
+        handle_lines w rest
+    | _ -> ()
   in
   let cleanup () =
-    List.iter
-      (fun w ->
-        (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-        reap_blocking w.pid;
-        try Unix.close w.msg_r with Unix.Unix_error _ -> ())
-      (live ());
-    Hashtbl.reset workers;
-    try
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      Unix.rmdir dir
-    with Sys_error _ | Unix.Unix_error _ -> ()
+    List.iter (fun w -> Proc.kill w.proc) (live ());
+    Hashtbl.reset workers
   in
-  let old_sigpipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-    with Invalid_argument _ | Sys_error _ -> None
-  in
-  let restore_sigpipe () =
-    match old_sigpipe with
-    | Some h -> ( try Sys.set_signal Sys.sigpipe h with Invalid_argument _ -> ())
-    | None -> ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      restore_sigpipe ();
-      cleanup ())
-    (fun () ->
+  Proc.ignoring_sigpipe @@ fun () ->
+  Fun.protect ~finally:cleanup (fun () ->
       for i = 0 to jobs - 1 do
         spawn i
       done;
       while !accepted = None && Hashtbl.length workers > 0 do
         (* 1. messages: heartbeats, completions, errors *)
-        let readable = List.filter (fun w -> not w.eof) (live ()) in
-        let fds = List.map (fun w -> w.msg_r) readable in
-        let ready, _, _ =
-          if fds = [] then ([], [], [])
-          else
-            try Unix.select fds [] [] 0.05
-            with Unix.Unix_error (EINTR, _, _) -> ([], [], [])
-        in
+        let ready = Proc.select (List.map (fun w -> w.proc) (live ())) 0.05 in
         List.iter
           (fun w ->
-            if !accepted = None && List.mem w.msg_r ready then read_messages w)
-          readable;
+            if !accepted = None && List.memq w.proc ready then
+              match Proc.read w.proc with
+              | `Lines lines -> handle_lines w lines
+              | `Eof -> () (* the death poll reaps it *))
+          (live ());
         (* 2. death poll: a worker may die (or be chaos-killed) without a
            DONE; if it managed to publish a result before dying, still
            consider it — the rename made the file trustworthy *)
         if !accepted = None then
           List.iter
             (fun w ->
-              match Unix.waitpid [ Unix.WNOHANG ] w.pid with
-              | 0, _ -> ()
-              | _, _ ->
-                  Hashtbl.remove workers w.pid;
-                  (try Unix.close w.msg_r with Unix.Unix_error _ -> ());
-                  if Sys.file_exists (Filename.concat dir (Printf.sprintf "res_%d.res" w.idx))
-                  then begin
-                    (* reuse the validation path; the pid is already reaped *)
-                    Hashtbl.replace workers w.pid w;
-                    consider w;
-                    if Hashtbl.mem workers w.pid then retire w
-                  end
-                  else incr rejected
-              | exception Unix.Unix_error (ECHILD, _, _) -> retire w)
+              if Proc.exited w.proc <> None then
+                if
+                  Sys.file_exists
+                    (Filename.concat dir (Printf.sprintf "res_%d.res" w.idx))
+                then consider w
+                else begin
+                  incr rejected;
+                  retire ~kill:false w
+                end)
             (live ());
         (* 3. heartbeat: silent workers are presumed hung *)
         if !accepted = None then
           List.iter
             (fun w ->
-              if now () -. w.last_beat > heartbeat_timeout then begin
+              if Proc.silent_ms w.proc > heartbeat_timeout_ms then begin
                 incr rejected;
-                (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-                reap_blocking w.pid;
-                retire w
+                retire ~kill:true w
               end)
             (live ())
       done;

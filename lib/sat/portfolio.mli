@@ -13,9 +13,9 @@
     {!Drat} checker admits the worker's streamed proof file.  Rejected
     workers drop out of the race; if every worker dies or is rejected the
     parent solves in-process ([winner = -1]).  Losers are SIGKILLed and all
-    children are reaped before [solve] returns; a worker silent past
-    [heartbeat_timeout] seconds (heartbeats flow at every solver restart)
-    is presumed hung and killed. *)
+    children are reaped before [solve] returns; a worker silent for 10 s
+    on the monotonic clock (heartbeats flow at every solver restart) is
+    presumed hung and killed. *)
 
 type outcome = {
   result : Solver.result;
@@ -33,7 +33,6 @@ val solve :
   ?jobs:int ->
   ?simplify:bool ->
   ?certify:bool ->
-  ?heartbeat_timeout:float ->
   ?proof:Proof.sink ->
   ?max_conflicts:int ->
   Dimacs.cnf ->

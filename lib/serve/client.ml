@@ -1,6 +1,7 @@
 (* Serve-protocol client plumbing.  Everything is blocking and
-   line-oriented; concurrency comes from [burst], which forks one child
-   per request so the daemon genuinely sees overlapping connections. *)
+   line-oriented; concurrency comes from [burst], which forks one
+   {!Proc} worker per request so the daemon genuinely sees overlapping
+   connections. *)
 
 type addr = Unix_sock of string | Tcp of string * int
 
@@ -77,51 +78,33 @@ let oneshot addr line =
       close c;
       r
 
-(* One forked child per request: each opens its own connection, performs
-   the round-trip, and streams the reply back to the parent over a pipe,
-   so the daemon sees genuinely concurrent clients. *)
+(* One forked worker per request: each opens its own connection, performs
+   the round-trip, and sends the reply (or ["!" ^ error]) back as its one
+   message line, so the daemon sees genuinely concurrent clients. *)
 let burst addr lines =
   let children =
     List.map
       (fun line ->
-        let r, w = Unix.pipe ~cloexec:false () in
-        match Unix.fork () with
-        | 0 -> (
-            Unix.close r;
-            let status =
-              match oneshot addr line with
-              | Ok reply ->
-                  (try write_all w (reply ^ "\n") with Unix.Unix_error _ -> ());
-                  0
-              | Error msg ->
-                  (try write_all w ("!" ^ msg ^ "\n") with Unix.Unix_error _ -> ());
-                  1
-            in
-            Unix._exit status)
-        | pid ->
-            Unix.close w;
-            (pid, r))
+        Proc.spawn (fun ~recv:_ ~send ->
+            match oneshot addr line with
+            | Ok reply -> send reply
+            | Error msg -> send ("!" ^ msg)))
       lines
+  in
+  let rec await p acc =
+    match Proc.select [ p ] 1. with
+    | [] -> await p acc
+    | _ -> (
+        match Proc.read p with
+        | `Lines lines -> await p (List.rev_append lines acc)
+        | `Eof ->
+            ignore (Proc.reap p);
+            List.rev acc)
   in
   let results =
     List.map
-      (fun (pid, r) ->
-        let buf = Buffer.create 1024 in
-        let chunk = Bytes.create 65536 in
-        let rec drain () =
-          match Unix.read r chunk 0 (Bytes.length chunk) with
-          | 0 -> ()
-          | k ->
-              Buffer.add_subbytes buf chunk 0 k;
-              drain ()
-          | exception Unix.Unix_error (EINTR, _, _) -> drain ()
-          | exception Unix.Unix_error _ -> ()
-        in
-        drain ();
-        (try Unix.close r with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] pid)
-         with Unix.Unix_error (ECHILD, _, _) -> ());
-        match String.split_on_char '\n' (Buffer.contents buf) with
+      (fun p ->
+        match await p [] with
         | line :: _ when String.length line > 0 && line.[0] = '!' ->
             Error (String.sub line 1 (String.length line - 1))
         | line :: _ when line <> "" -> Ok line

@@ -35,7 +35,7 @@ type client = {
   mutable close_after_flush : bool;
 }
 
-type inflight = { origin : Unix.file_descr option; req_id : string; meth : string; t0 : float }
+type inflight = { origin : Unix.file_descr option; req_id : string; meth : string; t0 : int64 }
 
 type pending = {
   p_token : int;
@@ -56,7 +56,7 @@ type counters = {
   by_method : (string, int) Hashtbl.t;
 }
 
-let run config =
+let run_ignoring_sigpipe config =
   let counters =
     {
       requests = 0;
@@ -69,7 +69,9 @@ let run config =
       by_method = Hashtbl.create 8;
     }
   in
-  let started = Unix.gettimeofday () in
+  let now_ns = Specrepair_engine.Session.now_ns in
+  let since_ms t0 = Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e6 in
+  let started = now_ns () in
   let telemetry_oc =
     Option.map
       (fun path -> open_out_gen [ Open_append; Open_creat ] 0o644 path)
@@ -130,18 +132,13 @@ let run config =
     try Some (Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> stop := true)))
     with Invalid_argument _ | Sys_error _ -> None
   in
-  let old_pipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-    with Invalid_argument _ | Sys_error _ -> None
-  in
   let restore_signals () =
     let restore signum = function
       | Some h -> ( try Sys.set_signal signum h with Invalid_argument _ -> ())
       | None -> ()
     in
     restore Sys.sigterm old_term;
-    restore Sys.sigint old_int;
-    restore Sys.sigpipe old_pipe
+    restore Sys.sigint old_int
   in
 
   (* {2 Client plumbing} *)
@@ -197,7 +194,7 @@ let run config =
               | Some Handler.Warm -> Json.Bool true
               | Some Handler.Cold -> Json.Bool false
               | _ -> Json.Null );
-            ("ms", Json.Num ((Unix.gettimeofday () -. entry.t0) *. 1000.));
+            ("ms", Json.Num (since_ms entry.t0));
           ];
         Some entry
   in
@@ -235,7 +232,7 @@ let run config =
     Protocol.ok_reply ~id
       (Json.Obj
          [
-           ("uptime_ms", Json.Num ((Unix.gettimeofday () -. started) *. 1000.));
+           ("uptime_ms", Json.Num (since_ms started));
            ("workers", Json.int (Pool.jobs pool));
            ("requests", Json.int counters.requests);
            ("ok", Json.int counters.ok);
@@ -293,7 +290,7 @@ let run config =
               let token = !next_token in
               incr next_token;
               Hashtbl.replace inflight token
-                { origin = Some c.fd; req_id = id; meth; t0 = Unix.gettimeofday () };
+                { origin = Some c.fd; req_id = id; meth; t0 = now_ns () };
               if Pool.idle pool slot then
                 dispatch ~slot ~token ~kill_after_s line
               else if List.length !pending >= config.queue_depth then begin
@@ -492,3 +489,8 @@ let run config =
   Option.iter close_out telemetry_oc;
   restore_signals ();
   Printf.printf "serve: shutdown after %d request(s)\n%!" counters.requests
+
+(* SIGPIPE is ignored for the daemon's whole life, workers included: a
+   client or worker that vanishes mid-write is an EPIPE, never a fatal
+   signal. *)
+let run config = Proc.ignoring_sigpipe (fun () -> run_ignoring_sigpipe config)

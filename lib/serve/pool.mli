@@ -1,5 +1,6 @@
-(** The daemon's fork-worker pool: the serving counterpart of the study
-    scheduler's worker protocol ({!Specrepair_eval.Scheduler}).
+(** The daemon's fork-worker pool.  Its workers are
+    {!Specrepair_base.Proc} processes, like the study scheduler's and the
+    SAT portfolio's; this module adds the serving protocol and policy.
 
     [jobs] workers are forked at creation, each running a caller-supplied
     handler over a line protocol ('\n'-terminated, one message per line):
@@ -21,8 +22,8 @@
     OOM — surfaces as a {!event.Died} for exactly its in-flight request,
     and the slot is respawned with a fresh (cold) handler: a crash costs
     one request, never the daemon.  Overdue workers (a request past its
-    hard deadline) are SIGKILLed by {!kill_overdue} with the same
-    one-request blast radius.
+    hard deadline, on the monotonic clock) are SIGKILLed by
+    {!kill_overdue} with the same one-request blast radius.
 
     The pool performs no I/O multiplexing of its own: the daemon folds
     {!fds} into its [select] set and calls {!drain} / {!reap} /
