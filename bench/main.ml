@@ -50,7 +50,7 @@ let () =
 
 let variants = S.Benchmarks.Generate.sample ~per_domain:sample_size ()
 
-let results = S.Eval.Study.run variants
+let results = S.Eval.Study.run_parallel variants
 
 (* {2 Artifact regeneration (the paper's tables and figures)} *)
 
@@ -596,21 +596,8 @@ let () =
          (Digest.string
             (S.Alloy.Pretty.spec_to_string v.injected.S.Benchmarks.Fault.faulty)))
   in
-  let with_tmpdir k =
-    let dir = Filename.temp_file "bench_stream_" "" in
-    Sys.remove dir;
-    Unix.mkdir dir 0o755;
-    let rec rm p =
-      if Sys.is_directory p then (
-        Array.iter (fun f -> rm (Filename.concat p f)) (Sys.readdir p);
-        Unix.rmdir p)
-      else Sys.remove p
-    in
-    Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm dir)
-      (fun () -> k dir)
-  in
   let run total =
-    with_tmpdir (fun dir ->
+    Specrepair_base.Proc.with_scratch_dir "bench_stream_" (fun dir ->
         let fingerprint =
           S.Eval.Corpus_stream.fingerprint ~source ~seed ~total
             ~options:[ "workload=derive" ]
@@ -887,7 +874,7 @@ let () =
   in
   let warm_rows, mining_ms =
     time_ms (fun () ->
-        S.Eval.Study.run ~techniques:warm_techniques hybrid_variants)
+        S.Eval.Study.run_parallel ~techniques:warm_techniques hybrid_variants)
   in
   let stats = S.Eval.Learned.empty () in
   S.Eval.Learned.add_rows stats warm_rows;

@@ -394,165 +394,90 @@ let evaluate_cmd =
       & info [ "telemetry" ] ~docv:"FILE"
           ~doc:"Write per-row telemetry as JSON lines to FILE")
   in
-  let run_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "run-dir" ] ~docv:"DIR"
-          ~doc:
-            "Stream the study through the checkpoint/resume scheduler: \
-             result shards and a manifest land in $(docv) as chunks \
-             complete, so a crashed run can be picked up with \
-             $(b,--resume).  Tables are rendered from the merged shards.")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Resume the checkpointed run in $(b,--run-dir): validate the \
-             manifest and its shards, then compute only the pending rows.")
-  in
   let run sample seed jobs retries quiet what profiles csv_out csv_in
-      artifacts_dir deadline_ms telemetry_out simplify portfolio run_dir
-      resume =
-    (* conflicting corpus selections are usage errors, caught before any
-       work: the streamed corpus is an index range, a per-domain sample is
-       not, and a resumed run's corpus is fixed by its manifest *)
-    if resume && Option.is_none run_dir then
-      `Error (true, "--resume requires --run-dir (the checkpoint to resume)")
-    else if Option.is_some sample && resume then
-      `Error
-        ( true,
-          "--sample cannot be combined with --resume: the resumed corpus is \
-           fixed by the run directory's manifest" )
-    else if Option.is_some sample && Option.is_some run_dir then
-      `Error
-        ( true,
-          "--sample cannot be combined with --run-dir: streamed runs index \
-           the full corpus" )
-    else begin
-      (* the paper's twelve-technique roster unless profiles widen it: the
-         four traditional engines plus each requested profile's LLM
-         techniques (labelled with an @profile suffix past the default) *)
-      let techniques =
-        match profiles with
-        | [] -> Eval.Technique.all
-        | ps ->
-            Eval.Technique.traditional
-            @ List.concat_map Eval.Technique.llm_for ps
-      in
-      let telemetry_chan = Option.map open_out telemetry_out in
-      let telemetry =
-        Option.map
-          (fun oc line ->
-            output_string oc line;
-            output_char oc '\n')
-          telemetry_chan
-      in
-      let progress =
-        if quiet then fun _ -> () else fun msg -> Printf.eprintf "  %s\n%!" msg
-      in
-      let results =
-        match csv_in with
-        | Some path -> Eval.Study.of_csv (read_file path)
-        | None -> (
-            match run_dir with
-            | Some dir ->
-                let total = Eval.Corpus_stream.natural_total () in
-                if not quiet then
-                  Printf.eprintf
-                    "streaming %d variants x %d techniques into %s%s...\n%!"
-                    total
-                    (List.length techniques)
-                    dir
-                    (if resume then " (resume)" else "");
-                ignore
-                  (Eval.Study.run_stream ~seed ~jobs ~max_retries:retries
-                     ?deadline_ms ?telemetry ~simplify ~portfolio ~techniques
-                     ~progress ~resume ~dir ~total ());
-                (* lazy merge of the shards, then the usual renderers *)
-                let buf = Buffer.create 65536 in
-                ignore
-                  (Eval.Scheduler.fold_shards ~dir
-                     (fun n _i line ->
-                       Buffer.add_string buf line;
-                       Buffer.add_char buf '\n';
-                       n + 1)
-                     0);
-                Eval.Study.of_csv (Buffer.contents buf)
-            | None ->
-                let variants =
-                  match sample with
-                  | Some n -> Benchmarks.Generate.sample ~seed ~per_domain:n ()
-                  | None -> Benchmarks.Generate.all ~seed ()
-                in
-                if not quiet then
-                  Printf.eprintf "running %d variants x %d techniques...\n%!"
-                    (List.length variants)
-                    (List.length techniques);
-                Eval.Study.run_parallel ~seed ~jobs ~max_retries:retries
-                  ?deadline_ms ?telemetry ~simplify ~portfolio ~techniques
-                  ~progress variants)
-      in
-      Option.iter close_out telemetry_chan;
-      (match csv_out with
-      | Some path ->
-          let oc = open_out path in
-          output_string oc (Eval.Study.to_csv results);
-          close_out oc
-      | None -> ());
-      (match artifacts_dir with
-      | Some dir ->
-          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-          List.iter
-            (fun (name, text) ->
-              let oc = open_out (Filename.concat dir name) in
-              output_string oc text;
-              close_out oc)
-            [
-              ("table1.csv", Eval.Tables.table1_csv results);
-              ("fig2.csv", Eval.Tables.fig2_csv results);
-              ("fig3.csv", Eval.Tables.fig3_csv results);
-              ("table2.csv", Eval.Tables.table2_csv results);
-            ]
-      | None -> ());
-      let what = if what = [] then [ `T1; `F2; `F3; `T2; `S ] else what in
-      List.iter
-        (fun w ->
-          let text =
-            match w with
-            | `T1 -> Eval.Tables.table1 results
-            | `F2 -> Eval.Tables.fig2 results
-            | `F3 -> Eval.Tables.fig3 results
-            | `T2 -> Eval.Tables.table2 results
-            | `T3 -> Eval.Tables.panel_table results
-            | `S -> Eval.Tables.summary results
+      artifacts_dir deadline_ms telemetry_out simplify portfolio =
+    (* the paper's twelve-technique roster unless profiles widen it: the
+       four traditional engines plus each requested profile's LLM
+       techniques (labelled with an @profile suffix past the default) *)
+    let techniques =
+      match profiles with
+      | [] -> Eval.Technique.all
+      | ps ->
+          Eval.Technique.traditional
+          @ List.concat_map Eval.Technique.llm_for ps
+    in
+    let telemetry_chan = Option.map open_out telemetry_out in
+    let telemetry =
+      Option.map
+        (fun oc line ->
+          output_string oc line;
+          output_char oc '\n')
+        telemetry_chan
+    in
+    let progress =
+      if quiet then fun _ -> () else fun msg -> Printf.eprintf "  %s\n%!" msg
+    in
+    let results =
+      match csv_in with
+      | Some path -> Eval.Study.of_csv (read_file path)
+      | None ->
+          let variants =
+            match sample with
+            | Some n -> Benchmarks.Generate.sample ~seed ~per_domain:n ()
+            | None -> Benchmarks.Generate.all ~seed ()
           in
-          print_endline text)
-        what;
-      `Ok ()
-    end
-  in
-  let run sample seed jobs retries quiet what profiles csv_out csv_in
-      artifacts_dir deadline_ms telemetry_out simplify portfolio run_dir
-      resume =
-    try
-      run sample seed jobs retries quiet what profiles csv_out csv_in
-        artifacts_dir deadline_ms telemetry_out simplify portfolio run_dir
-        resume
-    with Eval.Manifest.Corrupt msg ->
-      Printf.eprintf "evaluate: checkpoint rejected: %s\n%!" msg;
-      exit 1
+          if not quiet then
+            Printf.eprintf "running %d variants x %d techniques...\n%!"
+              (List.length variants)
+              (List.length techniques);
+          Eval.Study.run_parallel ~seed ~jobs ~max_retries:retries
+            ?deadline_ms ?telemetry ~simplify ~portfolio ~techniques
+            ~progress variants
+    in
+    Option.iter close_out telemetry_chan;
+    (match csv_out with
+    | Some path ->
+        let oc = open_out path in
+        output_string oc (Eval.Study.to_csv results);
+        close_out oc
+    | None -> ());
+    (match artifacts_dir with
+    | Some dir ->
+        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+        List.iter
+          (fun (name, text) ->
+            let oc = open_out (Filename.concat dir name) in
+            output_string oc text;
+            close_out oc)
+          [
+            ("table1.csv", Eval.Tables.table1_csv results);
+            ("fig2.csv", Eval.Tables.fig2_csv results);
+            ("fig3.csv", Eval.Tables.fig3_csv results);
+            ("table2.csv", Eval.Tables.table2_csv results);
+          ]
+    | None -> ());
+    let what = if what = [] then [ `T1; `F2; `F3; `T2; `S ] else what in
+    List.iter
+      (fun w ->
+        let text =
+          match w with
+          | `T1 -> Eval.Tables.table1 results
+          | `F2 -> Eval.Tables.fig2 results
+          | `F3 -> Eval.Tables.fig3 results
+          | `T2 -> Eval.Tables.table2 results
+          | `T3 -> Eval.Tables.panel_table results
+          | `S -> Eval.Tables.summary results
+        in
+        print_endline text)
+      what
   in
   Cmd.v
     (Cmd.info "evaluate"
        ~doc:"Run the study and regenerate the paper's tables and figures")
     Term.(
-      ret
-        (const run $ sample $ seed $ jobs $ retries $ quiet $ what $ profiles
-        $ csv_out $ csv_in $ artifacts_dir $ deadline_ms $ telemetry_out
-        $ simplify_flag $ portfolio_arg $ run_dir $ resume))
+      const run $ sample $ seed $ jobs $ retries $ quiet $ what $ profiles
+      $ csv_out $ csv_in $ artifacts_dir $ deadline_ms $ telemetry_out
+      $ simplify_flag $ portfolio_arg)
 
 (* {2 hybrid-table} *)
 
@@ -611,7 +536,7 @@ let hybrid_table_cmd =
               (fun p -> Eval.Technique.Multi (Llm.Multi_round.Auto, p))
               Llm.Model.panel
           in
-          Eval.Study.run ~seed ~techniques variants
+          Eval.Study.run_parallel ~seed ~techniques variants
     in
     let write path text =
       let oc = open_out path in
@@ -762,23 +687,37 @@ let study_cmd =
       Printf.eprintf "study: %d variants x %d techniques -> %s%s\n%!" total
         (List.length techniques) dir
         (if resume then " (resume)" else "");
-    (try
-       ignore
-         (Eval.Study.run_stream ~seed ~jobs ~max_retries:retries ?deadline_ms
-            ?telemetry ~simplify ~portfolio ~techniques ~progress ~resume ~dir
-            ~total ())
-     with
-     | Eval.Manifest.Corrupt msg ->
-         Printf.eprintf "study: checkpoint rejected: %s\n%!" msg;
-         exit 1
-     | Failure msg ->
-         Printf.eprintf "study: %s\n%!" msg;
-         exit 1);
-    Option.iter close_out telemetry_chan;
     let csv = Option.value csv_out ~default:(Filename.concat dir "results.csv") in
-    let oc = open_out csv in
-    let rows = Eval.Study.write_stream_csv ~dir oc in
-    close_out oc;
+    (* the merge goes to a temporary file renamed into place on success,
+       so a rejected checkpoint leaves no torn CSV behind *)
+    let tmp = csv ^ ".tmp" in
+    let fail fmt =
+      Printf.ksprintf
+        (fun msg ->
+          (try Sys.remove tmp with Sys_error _ -> ());
+          Printf.eprintf "study: %s\n%!" msg;
+          exit 1)
+        fmt
+    in
+    let rows =
+      try
+        ignore
+          (Eval.Study.run_stream ~seed ~jobs ~max_retries:retries ?deadline_ms
+             ?telemetry ~simplify ~portfolio ~techniques ~progress ~resume ~dir
+             ~total ());
+        Option.iter close_out telemetry_chan;
+        let oc = open_out tmp in
+        let rows =
+          Fun.protect
+            ~finally:(fun () -> close_out oc)
+            (fun () -> Eval.Study.write_stream_csv ~dir oc)
+        in
+        Sys.rename tmp csv;
+        rows
+      with
+      | Eval.Manifest.Corrupt msg -> fail "checkpoint rejected: %s" msg
+      | Failure msg -> fail "%s" msg
+    in
     Printf.printf "study: %d rows -> %s\n%!" rows csv
   in
   Cmd.v

@@ -23,16 +23,13 @@
    (telemetry), and the parent cross-checks received vs expected row
    counts before merging.
 
-   Two merge modes share the scheduling loop:
-
-   - {!map} collects rows into an in-memory array (scratch directory
-     deleted afterwards) — the classic study runner.
-   - {!map_checkpointed} keeps every verified chunk as a result shard
-     `shard_<lo>_<hi>.res` in a caller-owned run directory and records
-     the range in an atomically-replaced checkpoint manifest
-     ({!Manifest}); rows never enter parent memory, so the corpus size
-     is bounded only by disk, and [~resume] restarts a killed run from
-     the manifest's pending complement.
+   Every run is checkpointed: each verified chunk is kept as a result
+   shard `shard_<lo>_<hi>.res` and its range recorded in an
+   atomically-replaced manifest ({!Manifest}).  {!map_checkpointed}
+   does this in a caller-owned run directory, so rows never enter parent
+   memory and [~resume] restarts a killed run from the manifest's
+   pending complement; {!map} is the same run in a scratch directory,
+   folded back into an array and deleted afterwards.
 
    Fault tolerance: workers are {!Specrepair_base.Proc} processes; the
    parent polls every live worker for death and watches its silence on
@@ -80,9 +77,9 @@ let chaos_kill () =
       Option.map (fun k -> (k, mark)) (int_of_string_opt item)
   | _ -> None
 
-(* Test-only crash injection for the checkpointed mode: with
+(* Test-only crash injection: with
    SPECREPAIR_SCHED_CRASH_AFTER_CHUNKS=<k>, the *parent* SIGKILLs its own
-   process group the moment the k-th chunk of this run has been verified
+   process the moment the k-th chunk of this run has been verified
    and checkpointed — the deterministic stand-in for the machine (or the
    operator) killing a long study mid-flight, which [~resume] must then
    recover from.  Unset in normal operation. *)
@@ -175,14 +172,15 @@ let rows_cover ~lo ~hi rows =
 
 (* {2 Parent side} *)
 
-(* The shared scheduling loop.  [pending] is the sorted list of row
-   ranges still to compute out of [0, total); [on_verified] consumes each
-   cross-checked chunk result file (its path still present) and either
-   keeps it (checkpoint mode renames it to a shard) or folds it into
-   memory. *)
+(* The scheduling loop.  It computes the rows [!manifest] still lists as
+   pending; every cross-checked chunk result file becomes a shard and
+   its range is checkpointed into [!manifest]. *)
 let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
-    ~pending ~total ~on_verified ~f () =
+    ~manifest ~f () =
   let stats = Telemetry.Scheduler.create () in
+  let pending = Manifest.pending !manifest in
+  let total = !manifest.Manifest.total in
+  let crash_after = chaos_crash_after () in
   let todo = List.fold_left (fun n (lo, hi) -> n + (hi - lo)) 0 pending in
   if todo = 0 then stats
   else begin
@@ -262,30 +260,37 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
           requeue_chunk ~reason c
       | None -> ()
     in
-    let merged = ref 0 in
     let merge_chunk w (c : chunk) ~reported =
       let path = res_path dir c.id in
       let parsed = parse_res_file ~max_index:total path in
       match parsed with
       | Some (rows, tlines)
         when reported = List.length rows && rows_cover ~lo:c.lo ~hi:c.hi rows ->
-          on_verified c ~path ~rows ~tlines;
-          List.iter emit tlines;
-          merged := !merged + List.length rows;
+          (* shard first, checkpoint second: the manifest only ever vouches
+             for a shard that is already in place *)
+          Sys.rename path (shard_path dir ~lo:c.lo ~hi:c.hi);
+          manifest := Manifest.add !manifest ~lo:c.lo ~hi:c.hi;
+          Manifest.save ~dir !manifest;
           stats.chunks_completed <- stats.chunks_completed + 1;
           stats.rows_completed <- stats.rows_completed + List.length rows;
+          (match crash_after with
+          | Some k when stats.chunks_completed >= k ->
+              Unix.kill (Unix.getpid ()) Sys.sigkill
+          | _ -> ());
+          List.iter emit tlines;
           let elapsed =
             Int64.to_float
               (Int64.sub (Specrepair_engine.Session.now_ns ()) started)
             /. 1e9
           in
-          let rate = float_of_int !merged /. max 1e-9 elapsed in
-          let eta = float_of_int (todo - !merged) /. max 1e-9 rate in
+          let rate = float_of_int stats.rows_completed /. max 1e-9 elapsed in
+          let eta = float_of_int (todo - stats.rows_completed) /. max 1e-9 rate in
           progress
             (Printf.sprintf
                "%d/%d rows done (chunk %d, %d rows, worker %d; %.1f rows/s, \
                 ETA %.0fs)"
-               !merged todo c.id (List.length rows) (Proc.pid w.proc) rate eta)
+               stats.rows_completed todo c.id (List.length rows)
+               (Proc.pid w.proc) rate eta)
       | _ ->
           (* expected vs received cross-check failed: the file is missing,
              torn, or short a row — recompute the chunk *)
@@ -327,7 +332,7 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
     in
     Proc.ignoring_sigpipe @@ fun () ->
     Fun.protect ~finally:cleanup (fun () ->
-        while !merged < todo do
+        while stats.rows_completed < todo do
           (* keep the pool at strength while there is queued work; [assign]
              immediately hands each fresh worker a chunk *)
           while
@@ -386,56 +391,24 @@ let run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
 
 let default_heartbeat_timeout_ms = 300_000.
 
-let map ~jobs ?(max_retries = 2)
-    ?(heartbeat_timeout_ms = default_heartbeat_timeout_ms)
-    ?(progress = fun _ -> ()) ?(emit = fun _ -> ()) ~f n =
-  if n = 0 then ([||], Telemetry.Scheduler.create ())
-  else begin
-    let results : string option array = Array.make n None in
-    let on_verified _c ~path ~rows ~tlines:_ =
-      List.iter (fun (i, r) -> results.(i) <- Some r) rows;
-      try Sys.remove path with Sys_error _ -> ()
-    in
-    let stats =
-      Proc.with_scratch_dir "specrepair_sched_" (fun dir ->
-          run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit
-            ~dir ~pending:[ (0, n) ] ~total:n ~on_verified ~f ())
-    in
-    ( Array.mapi
-        (fun i r ->
-          match r with
-          | Some line -> line
-          | None ->
-              raise
-                (Chunk_failed
-                   {
-                     indices = [ i ];
-                     attempts = 0;
-                     reason = "internal: row never merged";
-                   }))
-        results,
-      stats )
-  end
-
-(* {2 Checkpointed streaming mode} *)
-
-(* Verify that the shard backing a completed range still parses and
-   covers exactly its rows; anything less means the checkpoint lies. *)
-let verify_shard ~dir ~total (lo, hi) =
+(* The rows of the shard backing a completed range, which must still
+   parse and cover exactly that range; anything less means the checkpoint
+   lies. *)
+let shard_rows ~dir ~total (lo, hi) =
   let path = shard_path dir ~lo ~hi in
   match parse_res_file ~max_index:total path with
+  | Some (rows, _) when rows_cover ~lo ~hi rows -> rows
+  | Some _ ->
+      raise
+        (Manifest.Corrupt
+           (Printf.sprintf "%s does not cover its recorded range [%d, %d)" path
+              lo hi))
   | None ->
       raise
         (Manifest.Corrupt
            (Printf.sprintf
               "manifest records [%d, %d) complete but %s is missing or torn" lo
               hi path))
-  | Some (rows, _) ->
-      if not (rows_cover ~lo ~hi rows) then
-        raise
-          (Manifest.Corrupt
-             (Printf.sprintf "%s does not cover its recorded range [%d, %d)"
-                path lo hi))
 
 (* Leftover chunk files (a crash between a worker's rename and the
    parent's checkpoint) are recomputed, never trusted. *)
@@ -446,7 +419,9 @@ let sweep_stray_chunks dir =
         try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
     (Sys.readdir dir)
 
-let map_checkpointed ~jobs ?(max_retries = 2) ?(progress = fun _ -> ()) ?(emit = fun _ -> ()) ?(resume = false) ~dir
+(* [map_checkpointed] at any heartbeat timeout; only [map] exposes it *)
+let checkpointed ~heartbeat_timeout_ms ~jobs ?(max_retries = 2)
+    ?(progress = fun _ -> ()) ?(emit = fun _ -> ()) ?(resume = false) ~dir
     ~fingerprint ~f n =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   let manifest =
@@ -462,7 +437,7 @@ let map_checkpointed ~jobs ?(max_retries = 2) ?(progress = fun _ -> ()) ?(emit =
         raise
           (Manifest.Corrupt
              (Printf.sprintf "manifest total %d, expected %d" m.Manifest.total n));
-      List.iter (verify_shard ~dir ~total:n) m.Manifest.completed;
+      List.iter (fun r -> ignore (shard_rows ~dir ~total:n r)) m.Manifest.completed;
       progress
         (Printf.sprintf "resuming: %d/%d rows already checkpointed"
            (Manifest.rows_done m) n);
@@ -485,24 +460,11 @@ let map_checkpointed ~jobs ?(max_retries = 2) ?(progress = fun _ -> ()) ?(emit =
     end
   in
   sweep_stray_chunks dir;
-  let crash_after = chaos_crash_after () in
-  let completed_this_run = ref 0 in
-  let on_verified (c : chunk) ~path ~rows:_ ~tlines:_ =
-    (* shard first, checkpoint second: the manifest only ever vouches for
-       a shard that is already in place *)
-    Sys.rename path (shard_path dir ~lo:c.lo ~hi:c.hi);
-    manifest := Manifest.add !manifest ~lo:c.lo ~hi:c.hi;
-    Manifest.save ~dir !manifest;
-    incr completed_this_run;
-    match crash_after with
-    | Some k when !completed_this_run >= k ->
-        Unix.kill (Unix.getpid ()) Sys.sigkill
-    | _ -> ()
-  in
-  let pending = Manifest.pending !manifest in
-  run_core ~jobs ~max_retries
-    ~heartbeat_timeout_ms:default_heartbeat_timeout_ms ~progress ~emit ~dir
-    ~pending ~total:n ~on_verified ~f ()
+  run_core ~jobs ~max_retries ~heartbeat_timeout_ms ~progress ~emit ~dir
+    ~manifest ~f ()
+
+let map_checkpointed =
+  checkpointed ~heartbeat_timeout_ms:default_heartbeat_timeout_ms
 
 let fold_shards ~dir f acc =
   let m = Manifest.load ~dir in
@@ -513,15 +475,27 @@ let fold_shards ~dir f acc =
           it first"
          dir (Manifest.rows_done m) m.Manifest.total);
   List.fold_left
-    (fun acc (lo, hi) ->
-      verify_shard ~dir ~total:m.Manifest.total (lo, hi);
-      match parse_res_file ~max_index:m.Manifest.total (shard_path dir ~lo ~hi) with
-      | None -> assert false (* verify_shard just accepted it *)
-      | Some (rows, _) ->
-          (* one shard (≤ 512 rows) in memory at a time *)
-          let in_order = List.sort (fun (a, _) (b, _) -> compare a b) rows in
-          List.fold_left (fun acc (i, r) -> f acc i r) acc in_order)
+    (fun acc range ->
+      (* one shard (<= 512 rows) in memory at a time *)
+      let rows = shard_rows ~dir ~total:m.Manifest.total range in
+      let in_order = List.sort (fun (a, _) (b, _) -> compare a b) rows in
+      List.fold_left (fun acc (i, r) -> f acc i r) acc in_order)
     acc m.Manifest.completed
+
+(* The in-memory run is a checkpointed run into a scratch directory,
+   folded back into an array. *)
+let map ~jobs ?max_retries ?(heartbeat_timeout_ms = default_heartbeat_timeout_ms)
+    ?progress ?emit ~f n =
+  if n = 0 then ([||], Telemetry.Scheduler.create ())
+  else
+    Proc.with_scratch_dir "specrepair_sched_" (fun dir ->
+        let stats =
+          checkpointed ~heartbeat_timeout_ms ~jobs ?max_retries ?progress ?emit
+            ~dir ~fingerprint:"map" ~f n
+        in
+        let results = Array.make n "" in
+        fold_shards ~dir (fun () i r -> results.(i) <- r) ();
+        (results, stats))
 
 let () =
   Printexc.register_printer (function

@@ -40,7 +40,10 @@ val map :
     [?heartbeat_timeout_ms] (default 300_000) is how long a worker may go
     without finishing an item, on the monotonic clock, before the parent
     presumes it hung and kills it.  [jobs] is clamped to [n]; [jobs <= 1] still forks (use the
-    caller's sequential path to avoid forking entirely). *)
+    caller's sequential path to avoid forking entirely).
+
+    The run is {!map_checkpointed} into a scratch directory (removed
+    afterwards, also when the run fails), read back with {!fold_shards}. *)
 
 val map_checkpointed :
   jobs:int ->
@@ -53,10 +56,10 @@ val map_checkpointed :
   f:(emit:(string -> unit) -> int -> string) ->
   int ->
   stats
-(** The streaming twin of {!map}: same worker pool, chunk protocol and
-    fault tolerance (at the default heartbeat timeout), but results never
-    enter parent memory.  Each verified chunk is kept as a result shard
-    [shard_<lo>_<hi>.res] in [dir] and its range recorded in the
+(** The checkpointed run behind {!map}, with the same arguments and
+    fault tolerance (at the default heartbeat timeout), but results
+    never enter parent memory.  Each verified chunk is kept as a result
+    shard [shard_<lo>_<hi>.res] in [dir] and its range recorded in the
     atomically-replaced checkpoint manifest [dir/manifest.json]
     ({!Manifest}) — shard rename first, manifest second, so the manifest
     only ever vouches for shards that exist.  Parent memory is O(jobs + pending ranges) whatever [n].

@@ -162,28 +162,6 @@ let run_one ?(seed = 42) ?(budget = Repair.Common.default_budget) ?deadline_ms
     time_ms = elapsed;
   }
 
-let run ?(seed = 42) ?(budget = Repair.Common.default_budget) ?deadline_ms
-    ?telemetry ?simplify ?portfolio ?(techniques = Technique.all)
-    ?(progress = fun _ -> ()) variants =
-  let total = List.length variants * List.length techniques in
-  let done_count = ref 0 in
-  List.concat_map
-    (fun v ->
-      List.map
-        (fun t ->
-          let r =
-            run_one ~seed ~budget ?deadline_ms ?telemetry ?simplify ?portfolio
-              t v
-          in
-          incr done_count;
-          if !done_count mod 100 = 0 then
-            progress
-              (Printf.sprintf "%d/%d (%s on %s)" !done_count total r.technique
-                 r.variant_id);
-          r)
-        techniques)
-    variants
-
 (* {2 CSV round trip} *)
 
 let header = "variant_id,domain,benchmark,technique,rep,tm,sm,tool_claimed,time_ms"
@@ -243,59 +221,102 @@ let of_csv text =
       if line = "" || line = header then None else Some (row_of_line line))
     (String.split_on_char '\n' text)
 
-(* {2 Parallel runner}
+(* {2 Runners}
 
-   Fans the (variant, technique) rows out over {!Scheduler} worker
-   processes: the parent keeps a chunked work queue, workers pull chunks
-   over a pipe and publish each finished chunk atomically, and a worker
-   that dies mid-chunk costs one chunk of recompute (bounded retries),
-   not the study.  Safe because every row is deterministic and workers
-   share nothing; per-row telemetry lines ride along in the chunk files
-   and are replayed into the caller's sink as each chunk is merged,
-   followed by one final [{"scheduler":…}] summary line. *)
+   The in-process loop is the reference: one {!run_one} per (variant,
+   technique) row, variant-major.  Every forked run goes through the
+   checkpointed {!Scheduler}: the parent keeps a chunked work queue,
+   workers pull chunks over a pipe and publish each finished chunk
+   atomically as a checkpointed shard, and a worker that dies mid-chunk
+   costs one chunk of recompute (bounded retries), not the study.  Safe
+   because every row is deterministic and workers share nothing; per-row
+   telemetry lines ride along in the shards and are replayed into the
+   caller's sink as each chunk is merged, followed by one final
+   [{"scheduler":…}] summary line.  {!run_parallel} and {!run_stream}
+   differ only in where variants come from and where the shards land. *)
 
-(* The final telemetry line of a parallel run. *)
-let scheduler_line ~jobs stats =
-  Specrepair_base.Json.(
-    to_string
-      (Obj
-         [ ("scheduler", Specrepair_engine.Telemetry.Scheduler.to_json ~jobs stats) ]))
+(* The worker-side row function: work item [i] is variant [i / ntech],
+   technique [i mod ntech].  Work items are variant-major, so a chunk
+   asks for each variant's [ntech] rows consecutively: the last variant
+   is memoised (in the worker process, as [f] runs post-fork) rather
+   than derived once per technique. *)
+let row_fn ~seed ~budget ?deadline_ms ?telemetry ?simplify ?portfolio
+    ~techniques variant =
+  let want_telemetry = Option.is_some telemetry in
+  let tech = Array.of_list techniques in
+  let ntech = Array.length tech in
+  let last = ref None in
+  fun ~emit i ->
+    let vi = i / ntech and ti = i mod ntech in
+    let v =
+      match !last with
+      | Some (j, v) when j = vi -> v
+      | _ ->
+          let v = variant vi in
+          last := Some (vi, v);
+          v
+    in
+    let telemetry = if want_telemetry then Some emit else None in
+    row_to_line
+      (run_one ~seed ~budget ?deadline_ms ?telemetry ?simplify ?portfolio
+         tech.(ti) v)
+
+(* After a forked run: the final telemetry line, the caller's stats hook
+   and a closing progress line. *)
+let report ~jobs ~nrows ?telemetry ?on_stats ~progress
+    (stats : Scheduler.stats) =
+  Option.iter
+    (fun sink ->
+      sink
+        Specrepair_base.Json.(
+          to_string
+            (Obj
+               [
+                 ( "scheduler",
+                   Specrepair_engine.Telemetry.Scheduler.to_json ~jobs stats );
+               ])))
+    telemetry;
+  Option.iter (fun g -> g stats) on_stats;
+  progress
+    (Printf.sprintf
+       "%d rows this run (%d total) from %d worker(s): %d chunks, %d retries, \
+        %d workers lost"
+       stats.rows_completed nrows jobs stats.chunks_completed stats.retries
+       stats.workers_lost)
 
 let run_parallel ?(seed = 42) ?(budget = Repair.Common.default_budget)
     ?deadline_ms ?telemetry ?simplify ?portfolio ?(techniques = Technique.all)
     ?(jobs = 1) ?(max_retries = 2) ?on_stats
     ?(progress = fun _ -> ()) variants =
-  if jobs <= 1 then
-    run ~seed ~budget ?deadline_ms ?telemetry ?simplify ?portfolio ~techniques
-      ~progress variants
+  let nrows = List.length variants * List.length techniques in
+  if jobs <= 1 then begin
+    let done_count = ref 0 in
+    List.concat_map
+      (fun v ->
+        List.map
+          (fun t ->
+            let r =
+              run_one ~seed ~budget ?deadline_ms ?telemetry ?simplify
+                ?portfolio t v
+            in
+            incr done_count;
+            if !done_count mod 100 = 0 then
+              progress
+                (Printf.sprintf "%d/%d (%s on %s)" !done_count nrows
+                   r.technique r.variant_id);
+            r)
+          techniques)
+      variants
+  end
   else begin
-    let work =
-      Array.of_list
-        (List.concat_map
-           (fun v -> List.map (fun t -> (v, t)) techniques)
-           variants)
-    in
-    let want_telemetry = Option.is_some telemetry in
-    (* runs in the worker process; the row's telemetry line goes through
-       the chunk file's sideband channel *)
-    let f ~emit i =
-      let v, t = work.(i) in
-      let telemetry = if want_telemetry then Some emit else None in
-      row_to_line
-        (run_one ~seed ~budget ?deadline_ms ?telemetry ?simplify ?portfolio t
-           v)
+    let f =
+      row_fn ~seed ~budget ?deadline_ms ?telemetry ?simplify ?portfolio
+        ~techniques (Array.get (Array.of_list variants))
     in
     let lines, stats =
-      Scheduler.map ~jobs ~max_retries ~progress
-        ?emit:telemetry ~f (Array.length work)
+      Scheduler.map ~jobs ~max_retries ~progress ?emit:telemetry ~f nrows
     in
-    Option.iter (fun sink -> sink (scheduler_line ~jobs stats)) telemetry;
-    Option.iter (fun g -> g stats) on_stats;
-    progress
-      (Printf.sprintf
-         "%d rows from %d worker(s): %d chunks, %d retries, %d workers lost"
-         stats.rows_completed jobs stats.chunks_completed stats.retries
-         stats.workers_lost);
+    report ~jobs ~nrows ?telemetry ?on_stats ~progress stats;
     (* results arrive indexed by work item, i.e. already in the sequential
        run's (variant-major, technique-minor) order: the merged CSV is
        byte-identical to [--jobs 1] modulo the wall-clock [time_ms] *)
@@ -306,11 +327,11 @@ let run_parallel ?(seed = 42) ?(budget = Repair.Common.default_budget)
 
    The million-variant mode: the corpus is a {!Corpus_stream} index range
    (variants derived on demand in the workers, never materialized) and the
-   results live as checkpointed shards in a run directory
-   ({!Scheduler.map_checkpointed}), so both sides of the study are
-   O(chunk) memory whatever the total.  A killed run resumes from the
+   shards stay in the caller's run directory, so both sides of the study
+   are O(chunk) memory whatever the total.  A killed run resumes from the
    manifest's pending complement. *)
 
+(* The run-parameter fingerprint stored in the manifest. *)
 let stream_fingerprint ?(seed = 42) ?(simplify = false) ?(portfolio = 1)
     ~source ~techniques ~total () =
   Corpus_stream.fingerprint ~source ~seed ~total:(total * List.length techniques)
@@ -329,43 +350,19 @@ let run_stream ?(seed = 42) ?(budget = Repair.Common.default_budget)
     ?(resume = false) ~dir ~total () =
   if techniques = [] then invalid_arg "Study.run_stream: no techniques";
   if total <= 0 then invalid_arg "Study.run_stream: total must be positive";
-  let ntech = List.length techniques in
-  let tech = Array.of_list techniques in
-  let nrows = total * ntech in
+  let nrows = total * List.length techniques in
   let fingerprint =
     stream_fingerprint ~seed ?simplify ?portfolio ~source ~techniques ~total ()
   in
-  let want_telemetry = Option.is_some telemetry in
-  (* worker-local memo: work items are variant-major, so a chunk asks for
-     each variant's [ntech] rows consecutively — derive it once, not once
-     per technique.  Lives in the worker process (f runs post-fork). *)
-  let last = ref None in
-  let f ~emit i =
-    let vi = i / ntech and ti = i mod ntech in
-    let v =
-      match !last with
-      | Some (j, v) when j = vi -> v
-      | _ ->
-          let v = Corpus_stream.variant ~source ~seed vi in
-          last := Some (vi, v);
-          v
-    in
-    let telemetry = if want_telemetry then Some emit else None in
-    row_to_line
-      (run_one ~seed ~budget ?deadline_ms ?telemetry ?simplify ?portfolio
-         tech.(ti) v)
+  let f =
+    row_fn ~seed ~budget ?deadline_ms ?telemetry ?simplify ?portfolio
+      ~techniques (Corpus_stream.variant ~source ~seed)
   in
   let stats =
-    Scheduler.map_checkpointed ~jobs ~max_retries ~progress ?emit:telemetry ~resume ~dir ~fingerprint ~f nrows
+    Scheduler.map_checkpointed ~jobs ~max_retries ~progress ?emit:telemetry
+      ~resume ~dir ~fingerprint ~f nrows
   in
-  Option.iter (fun sink -> sink (scheduler_line ~jobs stats)) telemetry;
-  Option.iter (fun g -> g stats) on_stats;
-  progress
-    (Printf.sprintf
-       "%d rows this run (%d total) from %d worker(s): %d chunks, %d retries, \
-        %d workers lost"
-       stats.rows_completed nrows jobs stats.chunks_completed stats.retries
-       stats.workers_lost);
+  report ~jobs ~nrows ?telemetry ?on_stats ~progress stats;
   stats
 
 (* The lazy merge: stream the shards of a complete run into [oc] in

@@ -34,23 +34,6 @@ val run_one :
   Benchmarks.Generate.variant ->
   spec_result
 
-val run :
-  ?seed:int ->
-  ?budget:Specrepair_repair.Common.budget ->
-  ?deadline_ms:float ->
-  ?telemetry:(string -> unit) ->
-  ?simplify:bool ->
-  ?portfolio:int ->
-  ?techniques:Technique.t list ->
-  ?progress:(string -> unit) ->
-  Benchmarks.Generate.variant list ->
-  spec_result list
-(** Row-major: every technique applied to every variant.  [?simplify] and
-    [?portfolio] configure the shared per-domain oracle's verdict-only
-    fresh solves (see {!Specrepair_solver.Oracle.create}); result rows are
-    bit-identical whatever the solving options, because instance-producing
-    queries always take the plain analyzer path. *)
-
 val run_parallel :
   ?seed:int ->
   ?budget:Specrepair_repair.Common.budget ->
@@ -65,17 +48,24 @@ val run_parallel :
   ?progress:(string -> unit) ->
   Benchmarks.Generate.variant list ->
   spec_result list
-(** Like {!run} but fanned out over [jobs] forked workers through the
-    fault-tolerant {!Scheduler}: dynamic chunked work queue, per-chunk
-    atomic result files, dead workers respawned and their in-flight chunk
-    requeued up to [?max_retries] (default 2) times before
-    {!Scheduler.Chunk_failed} names the offending rows.  Results come
-    back in the sequential run's order, so the CSV is byte-identical to
-    [jobs = 1] except for the wall-clock [time_ms] column.  Worker
-    telemetry lines are replayed into [?telemetry] as each chunk is
-    merged (every row exactly once), followed by one final
-    [{"scheduler":…}] summary line; [?on_stats] receives the scheduler's
-    counters after the merge. *)
+(** Row-major: every technique applied to every variant.  [?simplify] and
+    [?portfolio] configure the shared per-domain oracle's verdict-only
+    fresh solves (see {!Specrepair_solver.Oracle.create}); result rows are
+    bit-identical whatever the solving options, because instance-producing
+    queries always take the plain analyzer path.
+
+    With [jobs <= 1] (the default) the rows run in this process, one after
+    the other.  With more, they fan out over [jobs] forked workers through
+    the fault-tolerant {!Scheduler}: dynamic chunked work queue, per-chunk
+    atomic result shards checkpointed into a scratch directory, dead
+    workers respawned and their in-flight chunk requeued up to
+    [?max_retries] (default 2) times before {!Scheduler.Chunk_failed}
+    names the offending rows.  Results come back in the sequential run's
+    order, so the CSV is byte-identical to [jobs = 1] except for the
+    wall-clock [time_ms] column.  Worker telemetry lines are replayed
+    into [?telemetry] as each chunk is merged (every row exactly once),
+    followed by one final [{"scheduler":…}] summary line; [?on_stats]
+    receives the scheduler's counters after the merge. *)
 
 val run_stream :
   ?seed:int ->
@@ -97,8 +87,9 @@ val run_stream :
   Scheduler.stats
 (** The streaming study: [total] corpus variants ({!Corpus_stream},
     derived on demand in the workers — indices past the natural corpus
-    wrap into fresh epochs) times the technique list, checkpointed into
-    [dir] through {!Scheduler.map_checkpointed}.  Memory is O(chunk)
+    wrap into fresh epochs) times the technique list, through the same
+    row function and report as {!run_parallel}, checkpointed into [dir]
+    through {!Scheduler.map_checkpointed}.  Memory is O(chunk)
     regardless of [total]; a crashed or [kill -9]ed run restarts with
     [~resume:true] and recomputes only the manifest's pending complement.
     The checkpoint fingerprint covers source, seed, total, techniques and
@@ -114,18 +105,6 @@ val write_stream_csv : ?timings:bool -> dir:string -> out_channel -> int
     [~timings:false] zeroes it on both sides, making the equality exact.
     Fails loudly on an incomplete run; raises {!Manifest.Corrupt} on an
     untrustworthy checkpoint. *)
-
-val stream_fingerprint :
-  ?seed:int ->
-  ?simplify:bool ->
-  ?portfolio:int ->
-  source:Corpus_stream.source ->
-  techniques:Technique.t list ->
-  total:int ->
-  unit ->
-  string
-(** The run-parameter fingerprint {!run_stream} stores in the manifest;
-    exposed so operators can pre-check a directory's compatibility. *)
 
 val to_csv : ?timings:bool -> spec_result list -> string
 (** [~timings:false] zeroes the wall-clock [time_ms] column, yielding

@@ -21,7 +21,7 @@ let mini_techniques =
 let mini_results =
   lazy
     (let variants = B.Generate.sample ~per_domain:2 () in
-     Eval.Study.run ~techniques:mini_techniques variants)
+     Eval.Study.run_parallel ~techniques:mini_techniques variants)
 
 let test_run_shape () =
   let rs = Lazy.force mini_results in
@@ -50,8 +50,8 @@ let test_repaired_high_similarity () =
 let test_determinism () =
   let variants = B.Generate.sample ~per_domain:1 () in
   let t = [ Eval.Technique.Multi (Llm.Multi_round.No_feedback, Llm.Model.gpt4) ] in
-  let a = Eval.Study.run ~techniques:t variants in
-  let b = Eval.Study.run ~techniques:t variants in
+  let a = Eval.Study.run_parallel ~techniques:t variants in
+  let b = Eval.Study.run_parallel ~techniques:t variants in
   List.iter2
     (fun (x : Eval.Study.spec_result) (y : Eval.Study.spec_result) ->
       Alcotest.(check int) ("rep deterministic for " ^ x.variant_id) x.rep y.rep;
@@ -63,8 +63,8 @@ let test_simplify_bit_identity () =
      verdict-only fresh solves; study rows must come out bit-identical. *)
   let variants = B.Generate.sample ~per_domain:1 () in
   let t = [ Eval.Technique.BeAFix; Eval.Technique.ATR ] in
-  let plain = Eval.Study.run ~techniques:t variants in
-  let simplified = Eval.Study.run ~techniques:t ~simplify:true variants in
+  let plain = Eval.Study.run_parallel ~techniques:t variants in
+  let simplified = Eval.Study.run_parallel ~techniques:t ~simplify:true variants in
   List.iter2
     (fun (x : Eval.Study.spec_result) (y : Eval.Study.spec_result) ->
       Alcotest.(check string)
@@ -151,7 +151,7 @@ let test_technique_roster () =
 let test_parallel_matches_sequential () =
   let variants = B.Generate.sample ~per_domain:1 () in
   let techniques = [ Eval.Technique.BeAFix ] in
-  let seq = Eval.Study.run ~techniques variants in
+  let seq = Eval.Study.run_parallel ~techniques variants in
   let par = Eval.Study.run_parallel ~techniques ~jobs:2 variants in
   let key (r : Eval.Study.spec_result) = (r.variant_id, r.technique, r.rep) in
   Alcotest.(check bool) "same outcomes" true

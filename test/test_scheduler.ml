@@ -113,6 +113,32 @@ let test_retry_exhaustion_names_rows () =
       Alcotest.(check int) "attempts = initial + retry" 2 attempts;
       Alcotest.(check bool) "reason mentions the worker" true (reason <> "")
 
+(* [map] checkpoints into a scratch directory under the temp dir; it must
+   be removed after a successful run and after retry exhaustion alike *)
+let test_map_removes_scratch_dir () =
+  let tmp = Filename.temp_dir "specrepair_sched_scratch_" "" in
+  let saved = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name tmp;
+  Fun.protect
+    ~finally:(fun () ->
+      Filename.set_temp_dir_name saved;
+      try Unix.rmdir tmp with Unix.Unix_error _ -> ())
+    (fun () ->
+      let leftovers () = Array.to_list (Sys.readdir tmp) in
+      let results, _ = Scheduler.map ~jobs:2 ~f:square 10 in
+      Alcotest.(check int) "all results" 10 (Array.length results);
+      Alcotest.(check (list string)) "nothing left after success" []
+        (leftovers ());
+      let always_kill ~emit:_ i =
+        if i = 3 then Unix.kill (Unix.getpid ()) Sys.sigkill;
+        string_of_int i
+      in
+      (match Scheduler.map ~jobs:2 ~max_retries:0 ~f:always_kill 6 with
+      | _ -> Alcotest.fail "expected Chunk_failed"
+      | exception Scheduler.Chunk_failed _ -> ());
+      Alcotest.(check (list string)) "nothing left after Chunk_failed" []
+        (leftovers ()))
+
 (* {2 The study runner on top of the scheduler} *)
 
 let sample_variants = lazy (B.Generate.sample ~per_domain:1 ())
@@ -121,7 +147,7 @@ let test_study_parallel_bit_identical () =
   (* the acceptance bar: --sample 1 --jobs 4 CSV byte-identical to --jobs 1
      across all twelve techniques, modulo the wall-clock time_ms column *)
   let variants = Lazy.force sample_variants in
-  let seq = Eval.Study.run variants in
+  let seq = Eval.Study.run_parallel variants in
   let par = Eval.Study.run_parallel ~jobs:4 variants in
   Alcotest.(check string) "csv byte-identical (timings zeroed)"
     (Eval.Study.to_csv ~timings:false seq)
@@ -130,7 +156,7 @@ let test_study_parallel_bit_identical () =
 let test_study_parallel_survives_sigkill () =
   let variants = Lazy.force sample_variants in
   let techniques = [ Eval.Technique.ATR; Eval.Technique.BeAFix ] in
-  let seq = Eval.Study.run ~techniques variants in
+  let seq = Eval.Study.run_parallel ~techniques variants in
   let telemetry_lines = ref [] in
   let stats = ref None in
   let par =
@@ -215,6 +241,8 @@ let () =
             test_heartbeat_kills_hung_worker;
           Alcotest.test_case "retry exhaustion names rows" `Quick
             test_retry_exhaustion_names_rows;
+          Alcotest.test_case "scratch dir removed" `Quick
+            test_map_removes_scratch_dir;
         ] );
       ( "study",
         [

@@ -117,8 +117,8 @@ let test_generous_deadline_identical_rows () =
       Eval.Technique.Multi (Llm.Multi_round.No_feedback, Llm.Model.gpt4);
     ]
   in
-  let a = Eval.Study.run ~techniques variants in
-  let b = Eval.Study.run ~deadline_ms:1e9 ~techniques variants in
+  let a = Eval.Study.run_parallel ~techniques variants in
+  let b = Eval.Study.run_parallel ~deadline_ms:1e9 ~techniques variants in
   List.iter2
     (fun (x : Eval.Study.spec_result) (y : Eval.Study.spec_result) ->
       Alcotest.(check string) "variant" x.variant_id y.variant_id;

@@ -111,17 +111,7 @@ let test_custom_source () =
 
 (* {2 Crash + resume} *)
 
-let with_tmpdir k =
-  let dir = Filename.temp_file "specrepair_stream_" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let rec rm p =
-    if Sys.is_directory p then (
-      Array.iter (fun f -> rm (Filename.concat p f)) (Sys.readdir p);
-      Unix.rmdir p)
-    else Sys.remove p
-  in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm dir) (fun () -> k dir)
+let with_tmpdir k = Specrepair_base.Proc.with_scratch_dir "specrepair_stream_" k
 
 let techniques = [ Eval.Technique.ATR; Eval.Technique.BeAFix ]
 let total = 6
@@ -203,7 +193,7 @@ let test_crash_then_resume_is_byte_identical () =
           Alcotest.(check string)
             "streamed CSV byte-identical to the sequential study"
             (Eval.Study.to_csv ~timings:false
-               (Eval.Study.run ~seed ~techniques variants))
+               (Eval.Study.run_parallel ~seed ~techniques variants))
             csv_crashed))
 
 let test_resume_rejects_foreign_fingerprint () =

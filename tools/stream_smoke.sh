@@ -3,7 +3,8 @@
 # checkpointed study, kill it (SIGKILL, via the scheduler's chaos hook)
 # after its first checkpointed chunk, resume it with --resume, and
 # require the merged CSV to be identical — modulo the wall-clock time_ms
-# column — to an uninterrupted run.  Also checks that resuming a
+# column — to an uninterrupted run, and that `evaluate --from-csv`
+# renders the merged CSV's summary.  Also checks that resuming a
 # directory with no checkpoint fails loudly instead of silently starting
 # fresh.
 #
@@ -66,7 +67,21 @@ if ! cmp -s "$workdir/crashed.cols" "$workdir/clean.cols"; then
     exit 1
 fi
 
-# 5. Resuming a checkpoint that does not exist is an error, never a
+# 5. The tables render from the merged CSV: a streamed study is `study`
+#    followed by `evaluate --from-csv`, and every streamed variant must
+#    reach the summary.
+if ! summary=$("$exe" evaluate --from-csv "$workdir/clean/results.csv" \
+    --show summary); then
+    echo "stream_smoke: evaluate --from-csv failed on the merged CSV" >&2
+    exit 1
+fi
+if ! printf '%s\n' "$summary" | grep -qx "SUMMARY ($total specifications)"; then
+    echo "stream_smoke: expected SUMMARY ($total specifications), got:" >&2
+    printf '%s\n' "$summary" | head -1 >&2
+    exit 1
+fi
+
+# 6. Resuming a checkpoint that does not exist is an error, never a
 #    silent fresh start.
 if "$exe" study --dir "$workdir/nothing" --total "$total" \
     --technique ATR --seed "$seed" --quiet --resume >/dev/null 2>&1; then
@@ -82,4 +97,4 @@ if [ -n "${STREAM_ARTIFACTS_DIR:-}" ]; then
     cp "$workdir/clean/results.csv" "$STREAM_ARTIFACTS_DIR/results_clean.csv"
 fi
 
-echo "stream_smoke: ok ($total rows x $jobs jobs; killed after first chunk, resumed, merged CSV identical modulo time_ms)"
+echo "stream_smoke: ok ($total rows x $jobs jobs; killed after first chunk, resumed, merged CSV identical modulo time_ms, summary rendered)"
