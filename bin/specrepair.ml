@@ -20,6 +20,15 @@ let read_file path =
   close_in ic;
   s
 
+(* Study rows cached by an earlier run.  A file with no rows (empty, or
+   a header alone) would render every table as empty: it is an error. *)
+let results_of_csv path =
+  match Eval.Study.of_csv (read_file path) with
+  | [] ->
+      Printf.eprintf "%s: no result rows\n" path;
+      exit 1
+  | rows -> rows
+
 (* Load + frontend-check a spec, rendering positioned diagnostics.
    Warnings go to stderr; an error renders with its caret line and exits
    1 (a diagnostic is a verdict on the input, not a usage error). *)
@@ -419,7 +428,7 @@ let evaluate_cmd =
     in
     let results =
       match csv_in with
-      | Some path -> Eval.Study.of_csv (read_file path)
+      | Some path -> results_of_csv path
       | None ->
           let variants =
             match sample with
@@ -525,7 +534,7 @@ let hybrid_table_cmd =
   let run sample seed csv_in csv_out table_csv_out stats_out =
     let results =
       match csv_in with
-      | Some path -> Eval.Study.of_csv (read_file path)
+      | Some path -> results_of_csv path
       | None ->
           (* one Multi-Round/Auto run per panel profile: the cheapest
              roster that still exercises every profile on every sampled

@@ -1,5 +1,6 @@
 module Alloy = Specrepair_alloy
 module Solver = Specrepair_solver
+module Mutate = Specrepair_mutation.Mutate
 
 type budget = {
   max_depth : int;
@@ -20,6 +21,13 @@ let default_budget =
     use_pool = true;
   }
 
+(* The last spec asked for and its space; keyed by structural equality,
+   because a cached mutation's path indexes the AST it was enumerated
+   on. *)
+type space_memo = (Alloy.Ast.spec * Mutate.t list option) option ref
+
+let space_memo () = ref None
+
 type t = {
   env : Alloy.Typecheck.env;
   oracle : Solver.Oracle.t;
@@ -32,12 +40,14 @@ type t = {
   oracle_base : Solver.Oracle.stats;  (* snapshot at creation, for deltas *)
   sat_base : Solver.Oracle.sat_stats;
   expiry : bool ref;  (* latched; shared with derived sessions *)
+  memo : space_memo;
 }
 
 let now_ns () = Monotonic_clock.now ()
 
-let create ?oracle ?(certify = false) ?(simplify = false) ?(portfolio = 1)
-    ?(budget = default_budget) ?(seed = 42) ?deadline_ms env =
+let create ?oracle ?(memo = space_memo ()) ?(certify = false)
+    ?(simplify = false) ?(portfolio = 1) ?(budget = default_budget)
+    ?(seed = 42) ?deadline_ms env =
   let telemetry = Telemetry.create () in
   let oracle =
     match oracle with
@@ -63,6 +73,7 @@ let create ?oracle ?(certify = false) ?(simplify = false) ?(portfolio = 1)
     oracle_base = Solver.Oracle.stats oracle;
     sat_base = Solver.Oracle.sat_stats oracle;
     expiry = ref false;
+    memo;
   }
 
 let for_spec ?oracle ?certify ?simplify ?portfolio ?budget ?seed ?deadline_ms
@@ -85,6 +96,18 @@ let oracle t = t.oracle
 let budget t = t.budget
 let seed t = t.seed
 let telemetry t = t.telemetry
+
+let mutation_space t spec =
+  match !(t.memo) with
+  | Some (s, space) when s == spec || Alloy.Ast.equal_spec s spec -> space
+  | _ ->
+      let space =
+        match Alloy.Typecheck.check_result spec with
+        | Error _ -> None
+        | Ok env -> Some (Mutate.all_mutations env spec ~with_pool:true ())
+      in
+      t.memo := Some (spec, space);
+      space
 
 let expired t =
   match t.deadline_ns with

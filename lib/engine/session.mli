@@ -21,7 +21,13 @@
     ATR and Multi-Round in a single session) and nested invocations (ICEBAR
     derives an inner ARepair session with {!with_budget}); oracle, telemetry
     and the expiry latch are shared, so counters aggregate across stages
-    and a deadline cuts the whole pipeline, not just one stage. *)
+    and a deadline cuts the whole pipeline, not just one stage.
+
+    {b Mutation-space memo.}  A session also carries a one-entry memo of
+    the simulated LLM's mutation space ({!mutation_space}).  By default each
+    session gets a fresh one; a caller that runs many sessions over the
+    same specs (the study, one per process) passes one shared memo to all
+    of them.  Derived sessions share their parent's. *)
 
 module Alloy = Specrepair_alloy
 module Solver = Specrepair_solver
@@ -41,8 +47,16 @@ val default_budget : budget
 
 type t
 
+type space_memo
+(** The mutation space of the last spec asked for, keyed by structural
+    equality of the spec. *)
+
+val space_memo : unit -> space_memo
+(** A fresh, empty memo. *)
+
 val create :
   ?oracle:Solver.Oracle.t ->
+  ?memo:space_memo ->
   ?certify:bool ->
   ?simplify:bool ->
   ?portfolio:int ->
@@ -61,7 +75,8 @@ val create :
     configure the created oracle's verdict-only fresh solves (see
     {!Specrepair_solver.Oracle.create}); like [certify], they are ignored
     when an explicit [?oracle] is supplied.  [?deadline_ms] is relative to
-    now on the monotonic clock; omitted means no deadline.  Default budget
+    now on the monotonic clock; omitted means no deadline.  Without
+    [?memo] the session gets a fresh {!space_memo}.  Default budget
     {!default_budget}, default seed 42. *)
 
 val for_spec :
@@ -80,7 +95,8 @@ val for_spec :
 
 val with_budget : t -> (budget -> budget) -> t
 (** A derived session with a transformed budget; oracle, telemetry, seed,
-    deadline and the expiry latch remain shared with the parent. *)
+    deadline, the expiry latch and the mutation-space memo remain shared
+    with the parent. *)
 
 (** {2 Components} *)
 
@@ -89,6 +105,17 @@ val oracle : t -> Solver.Oracle.t
 val budget : t -> budget
 val seed : t -> int
 val telemetry : t -> Telemetry.t
+
+val mutation_space :
+  t ->
+  Alloy.Ast.spec ->
+  Specrepair_mutation.Mutate.t list option
+(** The spec's full mutation space
+    ([Mutate.all_mutations ~with_pool:true], in enumeration order), or
+    [None] when the spec does not type-check; answered from the session's
+    memo when the last spec asked for is structurally equal (the very
+    same list, so a hit is indistinguishable from a recomputation), and
+    otherwise computed and remembered in place of the last one. *)
 
 (** {2 Deadline} *)
 

@@ -46,6 +46,14 @@ let domain_oracle ?(simplify = false) ?(portfolio = 1)
       Hashtbl.replace oracle_cache key o;
       o
 
+(* One mutation-space memo per process, shared by every row's session
+   like the domain oracles: rows are variant-major, so a variant's LLM
+   rows, and a dialogue's rounds on an unchanged base, find the spec's
+   space already enumerated.  The space is a pure function of the
+   spec and keeps its enumeration order, so a hit draws exactly what a
+   recomputation would and rows do not depend on what ran before. *)
+let space_memo = Session.space_memo ()
+
 let aunit_suite (d : Benchmarks.Domains.t) =
   match Hashtbl.find_opt suite_cache d.name with
   | Some s -> s
@@ -115,11 +123,12 @@ let apply_technique ~session technique (v : Benchmarks.Generate.variant) =
 let run_one ?(seed = 42) ?(budget = Repair.Common.default_budget) ?deadline_ms
     ?telemetry ?simplify ?portfolio technique (v : Benchmarks.Generate.variant)
     =
-  (* one session per study row: shared domain oracle, per-technique budget,
-     monotonic clock for [time_ms] *)
+  (* one session per study row: shared domain oracle and mutation-space
+     memo, per-technique budget, monotonic clock for [time_ms] *)
   let session =
     Session.create
       ~oracle:(domain_oracle ?simplify ?portfolio v.domain)
+      ~memo:space_memo
       ~budget:(budget_for technique budget)
       ~seed ?deadline_ms
       (Benchmarks.Domains.env v.domain)

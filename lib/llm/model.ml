@@ -2,6 +2,7 @@ module Alloy = Specrepair_alloy
 module Ast = Alloy.Ast
 module Mutation = Specrepair_mutation
 module Location = Mutation.Location
+module Common = Specrepair_repair.Common
 
 type profile = {
   name : string;
@@ -213,7 +214,11 @@ let site_vocabulary spec site =
   | body -> List.sort_uniq String.compare (rels_of_fmla [] body)
   | exception Not_found -> []
 
-let weight profile ~hints ~guidance ~assertion_vocab ~competence spec
+(* [pass_anchor] is [Some anchored] under the Pass hint: [anchored site]
+   tells whether the site shares vocabulary with the checked assertions,
+   decided once per site by [prepare] (a space has thousands of mutations
+   over a handful of sites). *)
+let weight profile ~hints ~guidance ~pass_anchor ~competence
     (m : Mutation.Mutate.t) =
   let prior = lookup profile.pattern_prior m.op 1.0 in
   let w = ref (prior *. competence) in
@@ -232,105 +237,153 @@ let weight profile ~hints ~guidance ~assertion_vocab ~competence spec
      the model's attention, and strengthening edits look attractive — the
      surest way to make a named check pass is to constrain harder, which is
      exactly how Pass-anchored repairs overfit. *)
-  if List.mem Prompt.Pass hints && assertion_vocab <> [] then begin
-    let site_vocab = site_vocabulary spec m.site in
-    let shares = List.exists (fun r -> List.mem r assertion_vocab) site_vocab in
-    (* without a location hint, the assertion anchor is all the model has *)
-    let boost = if List.mem Prompt.Loc hints then 4.0 else 8.0 in
-    w := !w *. (if shares then boost else 0.4);
-    if m.op = "junct-add-and" || m.op = "negation-add" then w := !w *. 5.0
-  end;
+  (match pass_anchor with
+  | None -> ()
+  | Some anchored ->
+      (* without a location hint, the assertion anchor is all the model has *)
+      let boost = if List.mem Prompt.Loc hints then 4.0 else 8.0 in
+      w := !w *. (if anchored m.site then boost else 0.4);
+      if m.op = "junct-add-and" || m.op = "negation-add" then w := !w *. 5.0);
   !w
 
+type proposer = {
+  compound_rate : float;
+  spec : Ast.spec;
+  blocked : Ast.spec list;
+  table : Mutation.Mutate.t Rng.table;
+}
+
+let prepare profile ~hints guidance (task : Task.t) space =
+  let spec = task.faulty in
+  let space = Option.value space ~default:[] in
+  let assertion_vocab = assertion_vocabulary task in
+  let competence = lookup profile.domain_competence task.domain 1.0 in
+  let pass_anchor =
+    if List.mem Prompt.Pass hints && assertion_vocab <> [] then
+      let anchored =
+        List.filter
+          (fun site ->
+            List.exists
+              (fun r -> List.mem r assertion_vocab)
+              (site_vocabulary spec site))
+          (Location.sites spec)
+      in
+      Some (fun site -> List.mem site anchored)
+    else None
+  in
+  let loc = List.mem Prompt.Loc hints && task.fault_sites <> [] in
+  let fix = List.mem Prompt.Fix hints && task.fault_classes <> [] in
+  (* hints sharpen the model's focus, not just its weights *)
+  let hint_sharpening = if hints = [] then 1.0 else 0.4 in
+  let temp = (profile.temperature *. hint_sharpening) +. guidance.exploration in
+  let exponent = 1. /. max 0.1 temp in
+  let tempered (m : Mutation.Mutate.t) =
+    let w = weight profile ~hints ~guidance ~pass_anchor ~competence m in
+    (* Loc hint: strong focus on the named sites *)
+    let w =
+      if loc then
+        if List.mem m.site task.fault_sites then
+          (* the hint is line-level: the exact node gets an extra focus
+             factor *)
+          if List.mem (m.site, m.path) task.fault_paths then w *. 24.0
+          else w *. 8.0
+        else w *. 0.15
+      else w
+    in
+    (* Fix hint: the described edit family *)
+    let w =
+      if fix then
+        if List.mem m.op task.fault_classes then w *. 1.25 else w *. 0.55
+      else w
+    in
+    (m, w ** exponent)
+  in
+  {
+    compound_rate = profile.compound_rate;
+    spec;
+    blocked = guidance.blocked;
+    table = Rng.table (List.map tempered space);
+  }
+
+let sample { compound_rate; spec; blocked; table } ~rng =
+  let sample_one () = Rng.draw rng table in
+  let apply_ok spec' =
+    spec' <> spec
+    && (not (List.exists (Ast.equal_spec spec') blocked))
+    && Alloy.Typecheck.check_result spec' |> Result.is_ok
+  in
+  let attempt () =
+    match sample_one () with
+    | None -> None
+    | Some m1 -> (
+        let compound = Rng.float rng < compound_rate in
+        let spec1 =
+          match Mutation.Mutate.apply spec m1 with
+          | s -> Some s
+          | exception _ -> None
+        in
+        match spec1 with
+        | None -> None
+        | Some spec1 ->
+            if not compound then if apply_ok spec1 then Some spec1 else None
+            else
+              (* second edit at a different location *)
+              let spec2 =
+                match sample_one () with
+                | Some m2
+                  when (m2.site, m2.path) <> (m1.Mutation.Mutate.site, m1.path)
+                  -> (
+                    match Mutation.Mutate.apply spec1 m2 with
+                    | s -> Some s
+                    | exception _ -> None)
+                | _ -> None
+              in
+              let candidate = Option.value ~default:spec1 spec2 in
+              if apply_ok candidate then Some candidate
+              else if apply_ok spec1 then Some spec1
+              else None)
+  in
+  let rec retry n = if n = 0 then None else
+      match attempt () with Some s -> Some s | None -> retry (n - 1)
+  in
+  retry 12
+
 let propose profile ~rng ~hints guidance (task : Task.t) =
-  match Alloy.Typecheck.check_result task.faulty with
-  | Error _ -> None
-  | Ok env ->
-      let spec = task.faulty in
-      let space = Mutation.Mutate.all_mutations env spec ~with_pool:true () in
-      if space = [] then None
-      else begin
-        let assertion_vocab = assertion_vocabulary task in
-        let competence = lookup profile.domain_competence task.domain 1.0 in
-        let base_weights =
-          List.map
-            (fun (m : Mutation.Mutate.t) ->
-              let w =
-                weight profile ~hints ~guidance ~assertion_vocab ~competence
-                  spec m
-              in
-              (* Loc hint: strong focus on the named sites *)
-              let w =
-                if List.mem Prompt.Loc hints && task.fault_sites <> [] then
-                  if List.mem m.site task.fault_sites then
-                    (* the hint is line-level: the exact node gets an extra
-                       focus factor *)
-                    if List.mem (m.site, m.path) task.fault_paths then
-                      w *. 24.0
-                    else w *. 8.0
-                  else w *. 0.15
-                else w
-              in
-              (* Fix hint: the described edit family *)
-              let w =
-                if List.mem Prompt.Fix hints && task.fault_classes <> [] then
-                  if List.mem m.op task.fault_classes then w *. 1.25
-                  else w *. 0.55
-                else w
-              in
-              (m, w))
-            space
-        in
-        (* hints sharpen the model's focus, not just its weights *)
-        let hint_sharpening = if hints = [] then 1.0 else 0.4 in
-        let temp =
-          ((profile.temperature *. hint_sharpening) +. guidance.exploration)
-        in
-        let tempered =
-          List.map (fun (m, w) -> (m, w ** (1. /. max 0.1 temp))) base_weights
-        in
-        let sample_one () = Rng.choose_weighted rng tempered in
-        let apply_ok spec' =
-          spec' <> spec
-          && (not (List.exists (Ast.equal_spec spec') guidance.blocked))
-          && Alloy.Typecheck.check_result spec' |> Result.is_ok
-        in
-        let attempt () =
-          match sample_one () with
-          | None -> None
-          | Some m1 -> (
-              let compound = Rng.float rng < profile.compound_rate in
-              let spec1 =
-                match Mutation.Mutate.apply spec m1 with
-                | s -> Some s
-                | exception _ -> None
-              in
-              match spec1 with
-              | None -> None
-              | Some spec1 ->
-                  if not compound then if apply_ok spec1 then Some spec1 else None
-                  else
-                    (* second edit at a different location *)
-                    let spec2 =
-                      match sample_one () with
-                      | Some m2
-                        when (m2.site, m2.path) <> (m1.Mutation.Mutate.site, m1.path)
-                        -> (
-                          match Mutation.Mutate.apply spec1 m2 with
-                          | s -> Some s
-                          | exception _ -> None)
-                      | _ -> None
-                    in
-                    let candidate = Option.value ~default:spec1 spec2 in
-                    if apply_ok candidate then Some candidate
-                    else if apply_ok spec1 then Some spec1
-                    else None)
-        in
-        let rec retry n = if n = 0 then None else
-            match attempt () with Some s -> Some s | None -> retry (n - 1)
-        in
-        retry 12
-      end
+  let space =
+    match Alloy.Typecheck.check_result task.faulty with
+    | Error _ -> None
+    | Ok env ->
+        Some (Mutation.Mutate.all_mutations env task.faulty ~with_pool:true ())
+  in
+  sample (prepare profile ~hints guidance task space) ~rng
+
+(* The model's "mental check": before answering, it reasons about a
+   candidate against the commands visible in the prompt — a bounded
+   self-verification at a reduced scope (small concrete scenarios a capable
+   model can think through).  Only the analyzer's full-scope run, outside
+   the model, is authoritative.  A query that fails counts as a failed
+   check, except that running out of memory or stack is not the
+   candidate's fault and propagates. *)
+let mental_scope = 2
+
+let mentally_consistent ~session ?(among = fun _ -> true) candidate =
+  match Common.env_of_spec candidate with
+  | None -> false
+  | Some (env' : Alloy.Typecheck.env) ->
+      List.for_all
+        (fun (c : Ast.command) ->
+          (not (among c))
+          ||
+          let reduced =
+            { c with Ast.cmd_scope = min mental_scope c.Ast.cmd_scope }
+          in
+          match
+            Common.command_behaves ~max_conflicts:5_000 session env' reduced
+          with
+          | v -> v
+          | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
+          | exception _ -> false)
+        env'.spec.commands
 
 let chatter_openings =
   [

@@ -67,6 +67,28 @@ type guidance = {
 
 val no_guidance : guidance
 
+type proposer
+(** A proposal distribution built once and sampled many times: the
+    faulty spec, the blocklist, and the mutation space in its enumeration
+    order with the hint-adjusted, guided and tempered weight of each
+    mutation as running sums. *)
+
+val prepare :
+  profile ->
+  hints:Prompt.hint list ->
+  guidance ->
+  Task.t ->
+  Mutation.Mutate.t list option ->
+  proposer
+(** The distribution over the given mutation space of [task.faulty]
+    ([None] = the spec does not type-check, so no proposal is possible).
+    Draws nothing from any RNG. *)
+
+val sample : proposer -> rng:Rng.t -> Alloy.Ast.spec option
+(** One sampled candidate repair (a well-typed spec different from the
+    faulty one and from every blocked spec), or [None] when the model fails
+    to produce one.  Consumes exactly the draws {!propose} would. *)
+
 val propose :
   profile ->
   rng:Rng.t ->
@@ -74,9 +96,19 @@ val propose :
   guidance ->
   Task.t ->
   Alloy.Ast.spec option
-(** One sampled candidate repair (a well-typed spec different from the
-    faulty one and from every blocked spec), or [None] when the model fails
-    to produce one. *)
+(** {!prepare} on a freshly enumerated space (all sites, with the pool),
+    then one {!sample}. *)
+
+val mentally_consistent :
+  session:Specrepair_repair.Session.t ->
+  ?among:(Alloy.Ast.command -> bool) ->
+  Alloy.Ast.spec ->
+  bool
+(** The model's self-check of a candidate: does it type-check, and does
+    every command selected by [among] (default: all) behave at scope at
+    most 2 under a 5,000-conflict budget?  A query that raises counts as
+    misbehaving, except [Out_of_memory] and [Stack_overflow], which are
+    re-raised. *)
 
 val respond : profile -> rng:Rng.t -> guidance -> Prompt.t -> string
 (** Full response text for a prompt: chatter + fenced candidate spec, or a

@@ -114,40 +114,29 @@ let auto_guidance ~session (env : Alloy.Typecheck.env) (task : Task.t) failing
       in
       { guidance with Model.site_boost = boosts }
 
-(* The Repair Agent's "mental check": before answering, the model reasons
-   about its candidate against the commands visible in the prompt — a
-   bounded self-verification at a reduced scope (small concrete scenarios a
-   capable model can think through).  Only the analyzer's full-scope run,
-   outside the model, is authoritative. *)
-let mental_scope = 2
-
-let mentally_consistent ~session (env' : Alloy.Typecheck.env) =
-  List.for_all
-    (fun (c : Ast.command) ->
-      let reduced = { c with Ast.cmd_scope = min mental_scope c.Ast.cmd_scope } in
-      match Common.command_behaves ~max_conflicts:5_000 session env' reduced with
-      | v -> v
-      | exception _ -> false)
-    env'.spec.commands
-
-(* Best-of-k internal sampling with the mental check; falls back to the
-   first proposal when none self-verifies.  [mental_check:false] (ablation)
-   returns the first proposal unfiltered. *)
+(* Best-of-k internal sampling with the Repair Agent's mental check
+   ({!Model.mentally_consistent}); falls back to the first proposal when
+   none self-verifies.  [mental_check:false] (ablation) returns the first
+   proposal unfiltered.  The round's distribution is prepared once and all
+   k draws share it. *)
 let internal_proposal ~session ~mental_check profile rng guidance
     (task : Task.t) =
   let k = if mental_check then profile.Model.self_check_samples else 1 in
+  let proposer =
+    Model.prepare profile ~hints:[] guidance task
+      (Session.mutation_space session task.faulty)
+  in
   let rec go n first =
     if n = 0 then first
     else
-      match Model.propose profile ~rng ~hints:[] guidance task with
+      match Model.sample proposer ~rng with
       | None -> go (n - 1) first
-      | Some candidate -> (
+      | Some candidate ->
           if not mental_check then Some candidate
           else
             let first = match first with None -> Some candidate | s -> s in
-            match Common.env_of_spec candidate with
-            | Some env' when mentally_consistent ~session env' -> Some candidate
-            | _ -> go (n - 1) first)
+            if Model.mentally_consistent ~session candidate then Some candidate
+            else go (n - 1) first
   in
   go k None
 

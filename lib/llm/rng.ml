@@ -35,19 +35,43 @@ let int t n =
   if n <= 0 then invalid_arg "Rng.int";
   int_of_float (float t *. float_of_int n)
 
-let choose_weighted t weighted =
-  let total = List.fold_left (fun acc (_, w) -> acc +. max 0. w) 0. weighted in
+(* The weighted sampler: running sums of the clamped weights, searched
+   for the first sum above [float t *. total].  The sums are the same
+   left-to-right float additions a linear scan makes, so a table picks the
+   element a scan would, from the same single draw.  A table with no
+   positive mass draws nothing. *)
+type 'a table = { items : 'a array; sums : float array }
+
+let table weighted =
+  let items = Array.of_list (List.map fst weighted) in
+  let sums = Array.of_list (List.map snd weighted) in
+  let acc = ref 0. in
+  Array.iteri
+    (fun i w ->
+      acc := !acc +. max 0. w;
+      sums.(i) <- !acc)
+    sums;
+  { items; sums }
+
+let draw t { items; sums } =
+  let n = Array.length sums in
+  let total = if n = 0 then 0. else sums.(n - 1) in
   if total <= 0. then None
   else begin
     let target = float t *. total in
-    let rec pick acc = function
-      | [] -> None
-      | (x, w) :: rest ->
-          let acc = acc +. max 0. w in
-          if target < acc then Some x else pick acc rest
+    (* the first index whose running sum exceeds [target]; [n] when none
+       does (a NaN total, or rounding that lands [target] on [total]) *)
+    let rec search lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if target < sums.(mid) then search lo mid else search (mid + 1) hi
     in
-    pick 0. weighted
+    let i = search 0 n in
+    if i < n then Some items.(i) else None
   end
+
+let choose_weighted t weighted = draw t (table weighted)
 
 let shuffle t xs =
   xs

@@ -18,8 +18,20 @@ val float : t -> float
 val int : t -> int -> int
 (** Uniform in [0, n). *)
 
+type 'a table
+(** A weighted distribution prepared for repeated sampling: the elements
+    in order with the running sums of their weights (negative weights
+    count as zero). *)
+
+val table : ('a * float) list -> 'a table
+
+val draw : t -> 'a table -> 'a option
+(** Samples proportionally to the weights by binary search over the
+    running sums, consuming one draw; [None] without a draw when no weight
+    is positive.  Picks exactly what a left-to-right scan of the running
+    sums would pick from the same state. *)
+
 val choose_weighted : t -> ('a * float) list -> 'a option
-(** Samples proportionally to the (non-negative) weights; [None] when all
-    weights are zero or the list is empty. *)
+(** [draw t (table weighted)]. *)
 
 val shuffle : t -> 'a list -> 'a list

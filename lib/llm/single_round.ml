@@ -11,34 +11,23 @@ let tool_name setting =
    anchors on them: it mentally tests candidates against those checks (at a
    small scope it can reason about) and returns the first that satisfies
    them.  The anchoring is double-edged — a candidate can make the named
-   checks pass by over-constraining, silently breaking other commands. *)
-let pass_anchored_proposal ~session profile rng (task : Task.t) hints =
-  let named_checks_pass candidate =
-    match Common.env_of_spec candidate with
-    | None -> false
-    | Some env' ->
-        List.for_all
-          (fun (c : Ast.command) ->
-            match c.cmd_kind with
-            | Ast.Check name when List.mem name task.Task.check_names -> (
-                let reduced = { c with Ast.cmd_scope = min 2 c.Ast.cmd_scope } in
-                match
-                  Common.command_behaves ~max_conflicts:5_000 session env'
-                    reduced
-                with
-                | v -> v
-                | exception _ -> false)
-            | _ -> true)
-          env'.Alloy.Typecheck.spec.commands
+   checks pass by over-constraining, silently breaking other commands.
+   Every try samples the one prepared distribution. *)
+let pass_anchored_proposal ~session profile proposer rng (task : Task.t) hints =
+  let named (c : Ast.command) =
+    match c.cmd_kind with
+    | Ast.Check name -> List.mem name task.Task.check_names
+    | _ -> false
   in
   let rec go n first =
     if n = 0 || Session.expired session then first
     else
-      match Model.propose profile ~rng ~hints Model.no_guidance task with
+      match Model.sample proposer ~rng with
       | None -> go (n - 1) first
       | Some candidate ->
           let first = match first with None -> Some candidate | s -> s in
-          if named_checks_pass candidate then Some candidate
+          if Model.mentally_consistent ~session ~among:named candidate then
+            Some candidate
           else go (n - 1) first
   in
   let tries =
@@ -61,14 +50,17 @@ let repair ?session ?(profile = Model.gpt4) (task : Task.t) setting =
       Rng.of_context ~seed:(Session.seed session)
         [ task.spec_id; "single-round"; Prompt.single_setting_to_string setting ]
     in
-    let prompt = Prompt.single task setting in
     let hints = Prompt.hints_of_setting setting in
     let response =
       Session.time session "llm" (fun () ->
-          if List.mem Prompt.Pass hints then
-            Model.render_response profile ~rng
-              (pass_anchored_proposal ~session profile rng task hints)
-          else Model.respond profile ~rng Model.no_guidance prompt)
+          let proposer =
+            Model.prepare profile ~hints Model.no_guidance task
+              (Session.mutation_space session task.faulty)
+          in
+          Model.render_response profile ~rng
+            (if List.mem Prompt.Pass hints then
+               pass_anchored_proposal ~session profile proposer rng task hints
+             else Model.sample proposer ~rng))
     in
     Telemetry.candidate_evaluated telemetry;
     match Extract.spec_of_response response with

@@ -70,6 +70,101 @@ let test_choose_weighted () =
   Alcotest.(check (option string)) "all-zero weights" None
     (Rng.choose_weighted rng [ ("a", 0.) ])
 
+(* The sampler the study shipped with before the running-sum table: a
+   left-to-right scan.  The table must pick what it picks from the same
+   state and leave the stream where it leaves it. *)
+let scan_choose t weighted =
+  let total = List.fold_left (fun acc (_, w) -> acc +. max 0. w) 0. weighted in
+  if total <= 0. then None
+  else begin
+    let target = Rng.float t *. total in
+    let rec pick acc = function
+      | [] -> None
+      | (x, w) :: rest ->
+          let acc = acc +. max 0. w in
+          if target < acc then Some x else pick acc rest
+    in
+    pick 0. weighted
+  end
+
+let prop_choose_weighted_matches_scan =
+  let open QCheck2.Gen in
+  let weight =
+    frequency
+      [ (3, pure 0.); (5, float_range 0. 10.); (1, float_range 0. 1e-6);
+        (1, float_range (-1.) 0.) ]
+  in
+  let weights =
+    frequency
+      [ (1, pure []); (2, map (fun w -> [ w ]) weight);
+        (1, map (fun n -> List.init n (fun _ -> 0.)) (int_range 1 20));
+        (6, list_size (int_range 1 60) weight) ]
+  in
+  QCheck2.Test.make ~count:1000 ~name:"table draw = linear scan, one draw"
+    ~print:(fun (seed, ws) ->
+      Printf.sprintf "seed %d, [%s]" seed
+        (String.concat "; " (List.map string_of_float ws)))
+    (pair int weights)
+    (fun (seed, ws) ->
+      let weighted = List.mapi (fun i w -> (i, w)) ws in
+      let a = Rng.create (Int64.of_int seed)
+      and b = Rng.create (Int64.of_int seed)
+      and c = Rng.create (Int64.of_int seed) in
+      let picked = Rng.choose_weighted a weighted in
+      let reference = scan_choose b weighted in
+      (* one draw when some weight is positive, none otherwise *)
+      if List.exists (fun w -> w > 0.) ws then ignore (Rng.next_int64 c);
+      let na = Rng.next_int64 a and nb = Rng.next_int64 b
+      and nc = Rng.next_int64 c in
+      picked = reference && na = nb && nb = nc
+      && match picked with Some i -> List.nth ws i > 0. | None -> true)
+
+(* Exact ties between the draw and a running sum decide between [<] and
+   [<=] in the search, so they need states whose first [Rng.float] is a
+   chosen value.  The splitmix64 mixer is a bijection: invert it to find
+   them. *)
+let state_with_first_float u =
+  let open Int64 in
+  let inverse c =
+    (* Newton's iteration for [c⁻¹ mod 2^64], [c] odd *)
+    let x = ref c in
+    for _ = 1 to 6 do
+      x := mul !x (sub 2L (mul c !x))
+    done;
+    !x
+  in
+  let unshift y k =
+    let x = ref y in
+    for _ = 1 to 64 / k + 1 do
+      x := logxor y (shift_right_logical !x k)
+    done;
+    !x
+  in
+  let bits = of_float (u *. 9007199254740992.) in
+  let z = shift_left bits 11 in
+  let z = unshift z 31 in
+  let z = unshift (mul z (inverse 0x94D049BB133111EBL)) 27 in
+  let z = unshift (mul z (inverse 0xBF58476D1CE4E5B9L)) 30 in
+  Rng.create (sub z 0x9E3779B97F4A7C15L)
+
+let test_choose_weighted_ties () =
+  Alcotest.(check (float 0.)) "constructed state" 0.5
+    (Rng.float (state_with_first_float 0.5));
+  Alcotest.(check (float 0.)) "constructed zero" 0.
+    (Rng.float (state_with_first_float 0.));
+  let both u weighted =
+    let table = Rng.choose_weighted (state_with_first_float u) weighted in
+    Alcotest.(check (option string)) "table agrees with the scan"
+      (scan_choose (state_with_first_float u) weighted) table;
+    table
+  in
+  Alcotest.(check (option string)) "a draw on a running sum goes right"
+    (Some "b") (both 0.5 [ ("a", 1.); ("b", 1.) ]);
+  Alcotest.(check (option string)) "zero weights are never drawn" (Some "c")
+    (both 0. [ ("a", 0.); ("b", 0.); ("c", 2.) ]);
+  Alcotest.(check (option string)) "trailing zeros are never drawn" (Some "b")
+    (both 0.5 [ ("a", 1.); ("b", 1.); ("c", 0.) ])
+
 let test_shuffle_permutes () =
   let rng = Rng.create 11L in
   let xs = List.init 20 Fun.id in
@@ -153,6 +248,98 @@ let test_propose_respects_blocklist () =
           (List.exists (Ast.equal_spec s) !seen)
     | None -> ()
   done
+
+(* A distribution prepared once (over the session's memoised space) and
+   sampled k times draws exactly what k fresh [propose] calls draw.  Both
+   sides run the same weights, so this cannot see a change to the weights
+   themselves; [test_rows_golden] below pins those. *)
+let test_prepare_matches_propose () =
+  let t = Lazy.force task in
+  let session = Specrepair_repair.Session.for_spec t.faulty in
+  List.iter
+    (fun hints ->
+      let fresh = Rng.of_context ~seed:4 [ "prepare" ] in
+      let prepared = Rng.of_context ~seed:4 [ "prepare" ] in
+      let proposer =
+        Llm.Model.prepare Llm.Model.gpt4 ~hints Llm.Model.no_guidance t
+          (Specrepair_repair.Session.mutation_space session t.faulty)
+      in
+      for _ = 1 to 12 do
+        let a =
+          Llm.Model.propose Llm.Model.gpt4 ~rng:fresh ~hints
+            Llm.Model.no_guidance t
+        in
+        let b = Llm.Model.sample proposer ~rng:prepared in
+        Alcotest.(check bool) "same proposal" true (Option.equal Ast.equal_spec a b)
+      done;
+      Alcotest.(check bool) "same stream position" true
+        (Rng.next_int64 fresh = Rng.next_int64 prepared))
+    Llm.Prompt.[ []; [ Loc ]; [ Pass ]; [ Loc; Fix ]; [ Loc; Pass ] ]
+
+(* The eight LLM rows of three study variants, as [evaluate --sample 1]
+   printed them before sampling was split into [prepare] and [sample]
+   (columns 1-8 of its CSV).  They catch a changed Loc factor, a lost
+   strengthening boost, or a Pass anchor that holds at every site or at
+   none (cd's Pass row); a small change to one factor can leave every
+   row in place.  The wider pin is the 240-row study-llm digest that
+   [perfbench/run.py] checks against [perfbench/pinned.json]. *)
+let golden_rows =
+  [
+    ( "production",
+      {|production_0000,production,A4F,Single-Round_Loc+Fix,0,0.975876,0.993223,true
+production_0000,production,A4F,Single-Round_Loc,0,0.975876,0.993223,true
+production_0000,production,A4F,Single-Round_Pass,0,0.976106,0.993223,false
+production_0000,production,A4F,Single-Round_None,0,0.934941,0.985134,true
+production_0000,production,A4F,Single-Round_Loc+Pass,0,0.937342,0.987731,true
+production_0000,production,A4F,Multi-Round_None,1,0.942581,0.982204,true
+production_0000,production,A4F,Multi-Round_Generic,1,0.910625,0.975650,true
+production_0000,production,A4F,Multi-Round_Auto,1,0.911459,0.977583,true|}
+    );
+    ( "cd",
+      {|cd_0000,cd,ARepair,Single-Round_Loc+Fix,1,1.000000,1.000000,true
+cd_0000,cd,ARepair,Single-Round_Loc,0,0.893711,0.965056,true
+cd_0000,cd,ARepair,Single-Round_Pass,0,0.880238,0.965158,true
+cd_0000,cd,ARepair,Single-Round_None,0,0.839561,0.954378,true
+cd_0000,cd,ARepair,Single-Round_Loc+Pass,0,0.880446,0.960115,true
+cd_0000,cd,ARepair,Multi-Round_None,1,0.911210,0.969347,true
+cd_0000,cd,ARepair,Multi-Round_Generic,0,0.911210,0.986763,false
+cd_0000,cd,ARepair,Multi-Round_Auto,0,0.911210,0.986763,false|}
+    );
+    ( "cv",
+      {|cv_0000,cv,A4F,Single-Round_Loc+Fix,0,0.942093,0.976525,true
+cv_0000,cv,A4F,Single-Round_Loc,0,0.971140,0.990119,true
+cv_0000,cv,A4F,Single-Round_Pass,0,0.885068,0.972064,true
+cv_0000,cv,A4F,Single-Round_None,0,0.942093,0.980916,true
+cv_0000,cv,A4F,Single-Round_Loc+Pass,0,0.942093,0.987892,true
+cv_0000,cv,A4F,Multi-Round_None,1,0.892381,0.971185,true
+cv_0000,cv,A4F,Multi-Round_Generic,0,0.912839,0.982712,false
+cv_0000,cv,A4F,Multi-Round_Auto,1,0.912839,0.966003,true|}
+    );
+  ]
+
+let test_rows_golden () =
+  let module Eval = Specrepair_eval in
+  let module B = Specrepair_benchmarks in
+  List.iter
+    (fun (domain, expected) ->
+      let d =
+        List.find (fun (d : B.Domains.t) -> d.name = domain) B.Domains.all
+      in
+      let v = B.Generate.variant_at d 0 in
+      let rows =
+        Eval.Study.to_csv ~timings:false
+          (List.map (fun t -> Eval.Study.run_one t v) Eval.Technique.llm_based)
+      in
+      let first8 line =
+        String.concat ","
+          (List.filteri (fun i _ -> i < 8) (String.split_on_char ',' line))
+      in
+      let body =
+        List.map first8 (List.tl (String.split_on_char '\n' (String.trim rows)))
+      in
+      Alcotest.(check (list string)) (v.id ^ " LLM rows")
+        (String.split_on_char '\n' expected) body)
+    golden_rows
 
 let test_loc_hint_focuses () =
   (* with the Loc hint, the overwhelming majority of proposals should touch
@@ -257,6 +444,9 @@ let () =
           Alcotest.test_case "context-sensitive" `Quick test_rng_context_sensitivity;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "weighted choice" `Quick test_choose_weighted;
+          QCheck_alcotest.to_alcotest prop_choose_weighted_matches_scan;
+          Alcotest.test_case "weighted choice ties" `Quick
+            test_choose_weighted_ties;
           Alcotest.test_case "shuffle" `Quick test_shuffle_permutes;
         ] );
       ( "prompt+extract",
@@ -273,6 +463,10 @@ let () =
           Alcotest.test_case "blocklist respected" `Quick
             test_propose_respects_blocklist;
           Alcotest.test_case "loc hint focuses" `Quick test_loc_hint_focuses;
+          Alcotest.test_case "prepare once = propose each time" `Quick
+            test_prepare_matches_propose;
+          Alcotest.test_case "study rows match the golden" `Quick
+            test_rows_golden;
         ] );
       ( "pipelines",
         [

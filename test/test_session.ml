@@ -212,6 +212,76 @@ let test_session_budget_and_seed () =
     (Session.telemetry derived == Session.telemetry s);
   Alcotest.(check bool) "no deadline, never expires" false (Session.expired s)
 
+(* {2 Mutation-space memo} *)
+
+let fresh_space spec =
+  let env = Typecheck.check spec in
+  Specrepair_mutation.Mutate.all_mutations env spec ~with_pool:true ()
+
+let space session spec =
+  match Session.mutation_space session spec with
+  | Some ms -> ms
+  | None -> Alcotest.fail "well-typed spec has no space"
+
+let test_memo_structural_hit () =
+  let session = Session.create (Lazy.force faulty_env) in
+  let a = Parser.parse faulty_src and b = Parser.parse faulty_src in
+  Alcotest.(check bool) "distinct specs" false (a == b);
+  let ma = space session a in
+  Alcotest.(check bool) "equal specs share one list" true (space session b == ma);
+  Alcotest.(check bool) "the list is the enumerated space" true
+    (ma = fresh_space a);
+  let derived = Session.with_budget session Fun.id in
+  Alcotest.(check bool) "derived session shares the memo" true
+    (space derived a == ma);
+  Alcotest.(check bool) "a fresh session has its own memo" false
+    (space (Session.create (Lazy.force faulty_env)) a == ma)
+
+let test_memo_ill_typed () =
+  let session = Session.create (Lazy.force faulty_env) in
+  let ill = Parser.parse "sig A {}\nfact F { some NoSuchRel }\n" in
+  Alcotest.(check bool) "does not type-check" true
+    (Result.is_error (Typecheck.check_result ill));
+  Alcotest.(check bool) "no space" true (Session.mutation_space session ill = None);
+  Alcotest.(check bool) "still none when remembered" true
+    (Session.mutation_space session ill = None)
+
+(* The memo holds one spec: asking for another replaces it, and the
+   first then comes back recomputed, equal to a fresh enumeration but not
+   the cached list. *)
+let test_memo_replacement () =
+  let session = Session.create (Lazy.force faulty_env) in
+  let spec scope =
+    Parser.parse
+      (Printf.sprintf
+         "sig Node { edges: set Node }\n\
+          fact Acyclic { some n: Node | n in n.^edges }\n\
+          run { some edges } for %d\n" scope)
+  in
+  let cached = space session (spec 2) in
+  ignore (space session (spec 3));
+  let again = space session (spec 2) in
+  Alcotest.(check bool) "replaced: recomputed" false (again == cached);
+  Alcotest.(check bool) "recomputed space equals a fresh one" true
+    (again = fresh_space (spec 2))
+
+(* The study's memo is shared by every row of a process, so rows must
+   not depend on which variants ran before: the LLM techniques on two
+   variants of one domain, in both orders. *)
+let test_memo_order_independent () =
+  let d = List.find (fun (d : B.Domains.t) -> d.count >= 2) B.Domains.all in
+  let va = B.Generate.variant_at d 0 and vb = B.Generate.variant_at d 1 in
+  let rows v =
+    Eval.Study.to_csv ~timings:false
+      (List.map (fun t -> Eval.Study.run_one t v) Eval.Technique.llm_based)
+  in
+  let a1 = rows va in
+  let b1 = rows vb in
+  let b2 = rows vb in
+  let a2 = rows va in
+  Alcotest.(check string) ("rows of " ^ va.id) a1 a2;
+  Alcotest.(check string) ("rows of " ^ vb.id) b1 b2
+
 (* {2 Technique roster} *)
 
 let test_technique_roundtrip () =
@@ -249,6 +319,14 @@ let () =
           Alcotest.test_case "json" `Quick test_telemetry_json_parses;
           Alcotest.test_case "budget and seed" `Quick
             test_session_budget_and_seed;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "structural hit" `Quick test_memo_structural_hit;
+          Alcotest.test_case "ill-typed" `Quick test_memo_ill_typed;
+          Alcotest.test_case "replacement" `Quick test_memo_replacement;
+          Alcotest.test_case "order cannot leak" `Slow
+            test_memo_order_independent;
         ] );
       ( "techniques",
         [ Alcotest.test_case "name round-trip" `Quick test_technique_roundtrip ] );
